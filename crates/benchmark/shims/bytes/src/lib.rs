@@ -1,0 +1,1 @@
+//! Resolution-only stand-in: nothing the benchmark builds uses this crate.
