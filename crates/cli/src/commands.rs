@@ -472,7 +472,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
              \x20           [--batch-wait-us N] [--cache-entries N] [--queue-cap N]\n\
              \x20           [--deadline-ms N] [--shard-id N --shard-of N] [--quantize]\n\
              \x20           [--degraded-mode] [--max-connections N] [--idle-timeout-ms N]\n\
-             \x20           [--threaded] [--learn] [--learn-dir DIR] [--learn-interval-secs N]\n\
+             \x20           [--learn] [--learn-dir DIR] [--learn-interval-secs N]\n\
              \x20           [--learn-batch-min N] [--learn-cells N] [--learn-gate-epsilon E]\n\
              \x20           [--learn-gate-delta-m D] [--learn-min-confidence C]\n\
              \x20           [--learn-queue-cap N] [--learn-max-bytes BYTES] [--capture-only]\n\
@@ -489,9 +489,8 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
              quantization state it was packed with); --degraded-mode answers\n\
              from the linear baseline (marked \"degraded\": true) instead of 503\n\
              when the admission queue is full; --max-connections caps concurrent\n\
-             sockets (excess accepts get 503), --idle-timeout-ms closes idle or\n\
-             slow-loris keep-alive connections, and --threaded opts out of the\n\
-             epoll/kqueue reactor back to thread-per-connection serving;\n\
+             sockets (excess accepts get 503) and --idle-timeout-ms closes idle\n\
+             or slow-loris keep-alive connections;\n\
              --learn (requires --model) tees served answers and POST /v1/feedback\n\
              corrections into a crash-safe capture log under --learn-dir\n\
              (default MODEL.capture) and runs the background cell trainer\n\
@@ -507,7 +506,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
     let flags = Flags::parse(
         args,
-        &["--quantize", "--degraded-mode", "--threaded", "--learn", "--capture-only"],
+        &["--quantize", "--degraded-mode", "--learn", "--capture-only"],
     )?;
     let budget = flags
         .get("--model-memory-budget")
@@ -674,13 +673,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         deadline: std::time::Duration::from_millis(
             (flags.get_f64("--deadline-ms", 10_000.0)? as u64).max(1),
         ),
-        idle_poll: std::time::Duration::from_millis(200),
         degraded_mode: flags.has("--degraded-mode"),
-        mode: if flags.has("--threaded") {
-            kamel_server::ConnMode::Threaded
-        } else {
-            kamel_server::ConnMode::Reactor
-        },
         max_connections: (flags.get_f64("--max-connections", 10_000.0)? as usize).max(1),
         idle_timeout: std::time::Duration::from_millis(
             (flags.get_f64("--idle-timeout-ms", 30_000.0)? as u64).max(1),
@@ -1001,7 +994,7 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
              \x20           [--breaker-window N] [--breaker-threshold R]\n\
              \x20           [--breaker-open-ms N] [--degraded-mode]\n\
              \x20           [--degraded-max-gap-m M] [--max-connections N]\n\
-             \x20           [--idle-timeout-ms N] [--threaded]\n\
+             \x20           [--idle-timeout-ms N]\n\
              serves POST /v1/impute (proxied), GET /healthz, GET /metrics,\n\
              GET /v1/shards until SIGTERM/ctrl-c; --cell-deg sets the routing\n\
              grid for --shard fleets (a --shard-map file carries its own);\n\
@@ -1012,13 +1005,12 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
              --degraded-mode answers requests no shard can serve from the\n\
              linear baseline (marked \"degraded\": true) instead of 502/503;\n\
              --max-connections caps concurrent client sockets (excess accepts\n\
-             get 503), --idle-timeout-ms closes idle/slow-loris keep-alive\n\
-             connections, and --threaded opts out of the epoll/kqueue reactor\n\
-             back to thread-per-connection serving"
+             get 503) and --idle-timeout-ms closes idle/slow-loris keep-alive\n\
+             connections"
         );
         return Ok(());
     }
-    let flags = Flags::parse(args, &["--degraded-mode", "--threaded"])?;
+    let flags = Flags::parse(args, &["--degraded-mode"])?;
     let map = match (flags.get("--shard-map"), flags.get("--shard")) {
         (Some(path), None) => kamel_router::ShardMap::from_json_file(Path::new(path))?,
         (None, Some(list)) => {
@@ -1055,11 +1047,6 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         ),
         degraded: flags.has("--degraded-mode"),
         degraded_max_gap_m: flags.get_f64("--degraded-max-gap-m", 100.0)?,
-        mode: if flags.has("--threaded") {
-            kamel_server::ConnMode::Threaded
-        } else {
-            kamel_server::ConnMode::Reactor
-        },
         max_connections: (flags.get_f64("--max-connections", 10_000.0)? as usize).max(1),
         idle_timeout: std::time::Duration::from_millis(
             (flags.get_f64("--idle-timeout-ms", 30_000.0)? as u64).max(1),

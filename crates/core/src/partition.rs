@@ -27,6 +27,7 @@ use kamel_lm::{EngineConfig, TrainedModel};
 use kamel_trajstore::TrajStore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Address of one pyramid cell: level plus grid coordinates within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -350,7 +351,7 @@ impl Repository {
     /// [`Repository::maintain`] with an explicit worker-thread count.
     ///
     /// Every affected cell is an independent training job (its own corpus,
-    /// its own seeded RNG), so jobs fan out over a crossbeam work queue.
+    /// its own seeded RNG), so scoped workers claim jobs off a shared cursor.
     /// Results are applied in sorted key order and each job is internally
     /// deterministic, so the repository state is identical for every
     /// `threads` value.
@@ -368,28 +369,26 @@ impl Repository {
                 .map(|job| (job.key, build_cell(job, store, engine)))
                 .collect()
         } else {
-            let (job_tx, job_rx) = crossbeam::channel::unbounded::<&CellJob>();
-            for job in &jobs {
-                let _ = job_tx.send(job);
-            }
-            drop(job_tx);
-            let (res_tx, res_rx) = crossbeam::channel::unbounded();
-            crossbeam::scope(|s| {
-                for _ in 0..threads {
-                    let job_rx = job_rx.clone();
-                    let res_tx = res_tx.clone();
-                    s.spawn(move |_| {
-                        while let Ok(job) = job_rx.recv() {
-                            if res_tx.send((job.key, build_cell(job, store, engine))).is_err() {
-                                return;
+            // Relaxed: the cursor only hands out indices; joining the
+            // workers is what publishes their results.
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut built = Vec::new();
+                            while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                                built.push((job.key, build_cell(job, store, engine)));
                             }
-                        }
-                    });
-                }
+                            built
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().expect("maintenance worker panicked"))
+                    .collect()
             })
-            .expect("maintenance worker panicked");
-            drop(res_tx);
-            res_rx.into_iter().collect()
         };
         // Apply in sorted key order so repository state never depends on
         // worker scheduling.

@@ -10,7 +10,7 @@
 //!   — impute sparse trajectories using only precomputed models (the online
 //!   path, which never rescans trajectory data, §4.1).
 //!
-//! Internally the state sits behind a [`parking_lot::RwLock`], so an
+//! Internally the state sits behind an [`RwLock`], so an
 //! `Arc<Kamel>` can serve online imputation from many threads while a
 //! background thread periodically trains on new batches — the paper's
 //! "scheduled as a background process … without causing any downtime".
@@ -32,10 +32,9 @@ use kamel_geo::{BBox, GpsPoint, LatLng, Trajectory, Xy};
 use kamel_hexgrid::CellId;
 use kamel_lm::MaskedTokenModel;
 use kamel_trajstore::TrajStore;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Report for one imputed gap.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,7 +170,7 @@ impl Kamel {
     pub fn deep_clone(&self) -> Self {
         let copy = Self {
             config: self.config.clone(),
-            inner: RwLock::new(self.inner.read().clone()),
+            inner: RwLock::new(self.state().clone()),
             quantized: AtomicBool::new(false),
             source: None,
         };
@@ -200,14 +199,28 @@ impl Kamel {
         self.source.as_ref().and_then(|s| s.residency())
     }
 
+    /// The model state for reading. A lock poisoned by a trainer that
+    /// panicked is entered anyway: a serving system keeps answering from
+    /// the state the trainer left, as it did under the non-poisoning lock
+    /// this replaced.
+    fn state(&self) -> RwLockReadGuard<'_, Option<State>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The model state for writing; poisoning is ignored as in
+    /// [`Kamel::state`].
+    fn state_mut(&self) -> RwLockWriteGuard<'_, Option<State>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// True once at least one training batch has been processed.
     pub fn is_trained(&self) -> bool {
-        self.inner.read().is_some()
+        self.state().is_some()
     }
 
     /// Current system statistics, when trained.
     pub fn stats(&self) -> Option<KamelStats> {
-        let guard = self.inner.read();
+        let guard = self.state();
         guard.as_ref().map(|s| KamelStats {
             stored_trajectories: s.store.len(),
             stored_tokens: s.store.total_tokens(),
@@ -225,8 +238,7 @@ impl Kamel {
         if let Some(src) = &self.source {
             return src.summaries();
         }
-        self.inner
-            .read()
+        self.state()
             .as_ref()
             .map(|s| s.repo.summaries())
             .unwrap_or_default()
@@ -242,7 +254,7 @@ impl Kamel {
     /// `Ok(1.0)` and arms the path, so [`Kamel::train`] re-gates and
     /// applies it to the models it builds.
     pub fn enable_quantization(&self) -> Result<f64, KamelError> {
-        let mut guard = self.inner.write();
+        let mut guard = self.state_mut();
         let Some(state) = guard.as_mut() else {
             self.quantized.store(true, Ordering::Release);
             return Ok(1.0);
@@ -258,7 +270,7 @@ impl Kamel {
 
     /// Reverts the repository to the f32 serving path.
     pub fn disable_quantization(&self) {
-        if let Some(state) = self.inner.write().as_mut() {
+        if let Some(state) = self.state_mut().as_mut() {
             state.repo.disable_quantization();
         }
         self.quantized.store(false, Ordering::Release);
@@ -277,7 +289,7 @@ impl Kamel {
         if batch.is_empty() {
             return;
         }
-        let mut guard = self.inner.write();
+        let mut guard = self.state_mut();
         if guard.is_none() {
             let origin = batch[0].points[0].pos;
             *guard = Some(State {
@@ -355,7 +367,7 @@ impl Kamel {
         // Re-apply quantization: maintenance rebuilds models, and rebuilt
         // models come out of the trainer on the f32 path. Run the gate
         // directly on the repository — we already hold the write guard, and
-        // parking_lot's RwLock is not reentrant.
+        // the lock is not reentrant.
         if self.config.quantize || self.quantized.load(Ordering::Acquire) {
             match state.repo.enable_quantization(
                 self.config.quantize_min_agreement,
@@ -384,7 +396,7 @@ impl Kamel {
     /// maintenance pass.
     pub fn retrain_cells(&self, cells: &[CellId], examples: &[Trajectory]) -> usize {
         let selected: Vec<Trajectory> = {
-            let guard = self.inner.read();
+            let guard = self.state();
             let Some(state) = guard.as_ref() else {
                 // Untrained: nothing to target, train on everything.
                 drop(guard);
@@ -416,7 +428,7 @@ impl Kamel {
     /// straight line and reported as failures — exactly the paper's
     /// fallback semantics (§4.1, §6).
     pub fn impute(&self, sparse: &Trajectory) -> ImputedTrajectory {
-        let guard = self.inner.read();
+        let guard = self.state();
         let Some(state) = guard.as_ref() else {
             return linear_only(sparse, &self.config);
         };
@@ -594,7 +606,7 @@ impl Kamel {
     /// the imputed output). Returns `None` while untrained — no tokenizer
     /// exists yet, so there is nothing stable to key on.
     pub fn gap_context(&self, sparse: &Trajectory) -> Option<(Vec<CellId>, Vec<f64>)> {
-        let guard = self.inner.read();
+        let guard = self.state();
         let state = guard.as_ref()?;
         let anchors = anchors_of(sparse, &state.tokenizer);
         let cells = anchors.iter().map(|a| a.cell).collect();
@@ -608,7 +620,7 @@ impl Kamel {
     /// Serializes the full trained state (config + store + models +
     /// detokenization metadata) to JSON.
     pub fn to_json(&self) -> Result<String, KamelError> {
-        let guard = self.inner.read();
+        let guard = self.state();
         let doc = PersistedKamel {
             config: self.config.clone(),
             state: guard.clone(),
@@ -623,7 +635,7 @@ impl Kamel {
     /// in for the full model set, enough to rebuild a serving `Kamel`
     /// whose models then resolve through the store's resident set.
     pub fn serving_skeleton_json(&self) -> Result<String, KamelError> {
-        let guard = self.inner.read();
+        let guard = self.state();
         let Some(state) = guard.as_ref() else {
             return Err(KamelError::NotTrained);
         };
@@ -650,7 +662,7 @@ impl Kamel {
     /// only) additionally packs the int8 weights so quantized serving
     /// reads them zero-copy out of the mapped file.
     pub fn export_models(&self) -> Result<Vec<ExportedModel>, KamelError> {
-        let guard = self.inner.read();
+        let guard = self.state();
         let Some(state) = guard.as_ref() else {
             return Err(KamelError::NotTrained);
         };
@@ -675,7 +687,7 @@ impl Kamel {
     /// height, maintained levels, k) — the selection structure a model
     /// store needs to route queries without holding any weights.
     pub fn repo_skeleton(&self) -> Option<crate::partition::Repository> {
-        self.inner.read().as_ref().map(|s| s.repo.skeleton())
+        self.state().as_ref().map(|s| s.repo.skeleton())
     }
 
     /// Persists the full trained state to a file as a crash-safe

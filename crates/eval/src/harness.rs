@@ -122,11 +122,11 @@ pub fn evaluate_technique(
     let chunk = tests.len().div_ceil(threads.max(1)).max(1);
     let start = Instant::now();
     let mut acc = MetricsAccumulator::default();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for shard in tests.chunks(chunk) {
             let proj: LocalProjection = proj;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut local = MetricsAccumulator::default();
                 for gt in shard {
                     let sparse = gt.sparsify(ctx.sparse_m);
@@ -140,8 +140,7 @@ pub fn evaluate_technique(
         for h in handles {
             acc.merge(&h.join().expect("evaluation shard panicked"));
         }
-    })
-    .expect("evaluation scope panicked");
+    });
     TechniqueResult {
         technique: imputer.name().to_string(),
         recall: acc.recall(),

@@ -33,7 +33,7 @@ use kamel_geo::Trajectory;
 use kamel_hexgrid::CellId;
 use kamel_server::http::{parse_deadline_header, Request, Response};
 use kamel_server::{
-    Client, ClientResponse, Clock, ConnMode, ImputeResponse, InfoResponse, RequestOpts,
+    Client, ClientResponse, Clock, ImputeResponse, InfoResponse, RequestOpts,
     RetryPolicy, RetryingClient, SystemClock, DEADLINE_HEADER, DEGRADED_HEADER,
 };
 use serde::Serialize;
@@ -50,7 +50,7 @@ const DEGRADED_BUDGET_FLOOR: Duration = Duration::from_millis(25);
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Connection-handler threads.
+    /// Dispatch workers running the proxy logic for parsed requests.
     pub handlers: usize,
     /// Per-forward socket timeout.
     pub timeout: Duration,
@@ -61,8 +61,6 @@ pub struct RouterConfig {
     pub health: HealthPolicy,
     /// Per-shard circuit-breaker thresholds.
     pub breaker: BreakerPolicy,
-    /// Socket read timeout for idle keep-alive client connections.
-    pub idle_poll: Duration,
     /// Pooled connections kept per shard.
     pub max_pool: usize,
     /// Deadline budget granted to requests that carry no
@@ -77,14 +75,11 @@ pub struct RouterConfig {
     /// Gap threshold / interior spacing (meters) for the degraded linear
     /// imputer (the system `max_gap`, paper default 100 m).
     pub degraded_max_gap_m: f64,
-    /// Connection-layer architecture: epoll/kqueue reactor (default) or
-    /// the legacy thread-per-connection fallback.
-    pub mode: ConnMode,
     /// Concurrent-connection cap; accepts beyond it are refused with a
     /// best-effort 503.
     pub max_connections: usize,
-    /// Reactor mode only: idle keep-alive / slow-loris connections are
-    /// closed after this long without progress.
+    /// Idle keep-alive / slow-loris connections are closed after this
+    /// long without progress.
     pub idle_timeout: Duration,
 }
 
@@ -102,12 +97,10 @@ impl Default for RouterConfig {
             },
             health: HealthPolicy::default(),
             breaker: BreakerPolicy::default(),
-            idle_poll: Duration::from_millis(200),
             max_pool: 8,
             default_deadline: Duration::from_secs(10),
             degraded: false,
             degraded_max_gap_m: 100.0,
-            mode: ConnMode::Reactor,
             max_connections: 10_000,
             idle_timeout: Duration::from_secs(30),
         }

@@ -1,23 +1,19 @@
 //! The gateway server: the connection layer, the background probe
 //! thread, and routing to the [`RouterCore`].
 //!
-//! Same connection architecture as `kamel-server`: by default one
-//! epoll/kqueue reactor thread owns every socket (accept, incremental
-//! parse, write-out, idle timers) and hands parsed requests to a fixed
-//! pool of dispatch workers, which run the proxy logic (forwarding may
-//! block on shard sockets — never on the reactor thread). On platforms
-//! without a supported selector the legacy thread-per-connection path
-//! ([`kamel_server::ConnMode::Threaded`]) serves the same wire behavior.
+//! The connection layer is `kamel-server`'s
+//! ([`kamel_server::ReactorHandle`]): one epoll/kqueue reactor
+//! thread owns every socket (accept, incremental parse, write-out, idle
+//! timers) and hands parsed requests to a fixed pool of dispatch workers,
+//! which run the proxy logic (forwarding may block on shard sockets —
+//! never on the reactor thread).
 
 use crate::proxy::{RouterConfig, RouterCore};
 use crate::shardmap::ShardMap;
-use kamel_server::http::{read_request, ReadError, Request, Response};
-use kamel_server::reactor::{run_reactor, ResponseSink};
-use kamel_server::{ConnMode, ConnStats, ReactorConfig, ShutdownFlag};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use kamel_server::http::{Request, Response};
+use kamel_server::{ConnStats, ReactorConfig, ReactorHandle, ShutdownFlag};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A running router. Dropping it without [`Router::shutdown`] aborts
@@ -27,9 +23,8 @@ pub struct Router {
     flag: ShutdownFlag,
     core: Arc<RouterCore>,
     conn_stats: Arc<ConnStats>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    handler_threads: Vec<std::thread::JoinHandle<()>>,
-    probe_thread: Option<std::thread::JoinHandle<()>>,
+    connections: ReactorHandle,
+    probe_thread: std::thread::JoinHandle<()>,
 }
 
 impl Router {
@@ -40,101 +35,28 @@ impl Router {
     pub fn bind(addr: &str, map: ShardMap, config: RouterConfig) -> std::io::Result<Router> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let flag = ShutdownFlag::new();
         let core = Arc::new(RouterCore::new(map, config.clone()));
         core.probe_all();
         let conn_stats = Arc::new(ConnStats::default());
-        // Reactor mode needs an epoll/kqueue selector; fall back to the
-        // blocking path (same wire behavior) where none exists.
-        let mode = match config.mode {
-            ConnMode::Reactor if kamel_server::poller::Poller::new().is_err() => {
-                eprintln!(
-                    "kamel-route: no epoll/kqueue on this platform; \
-                     falling back to thread-per-connection"
-                );
-                ConnMode::Threaded
-            }
-            mode => mode,
-        };
-        let (handler_threads, accept_thread) = match mode {
-            ConnMode::Reactor => {
-                // Dispatch workers run the proxy (which blocks on shard
-                // sockets) off the reactor thread.
-                let (req_tx, req_rx) = mpsc::channel::<(Request, Instant, ResponseSink)>();
-                let req_rx = Arc::new(Mutex::new(req_rx));
-                let handler_threads: Vec<_> = (0..config.handlers.max(1))
-                    .map(|i| {
-                        let req_rx = Arc::clone(&req_rx);
-                        let core = Arc::clone(&core);
-                        let flag = flag.clone();
-                        let conn_stats = Arc::clone(&conn_stats);
-                        std::thread::Builder::new()
-                            .name(format!("kamel-route-{i}"))
-                            .spawn(move || dispatch_loop(&req_rx, &core, &flag, &conn_stats))
-                            .expect("spawn router dispatch worker")
-                    })
-                    .collect();
-                // The reactor owns `req_tx`; when it drains and exits,
-                // the channel disconnects the workers.
-                let on_request: kamel_server::reactor::RequestHandler =
-                    Box::new(move |request, received, sink| {
-                        let _ = req_tx.send((request, received, sink));
-                    });
-                let reactor_config = ReactorConfig {
+        let connections = {
+            let core = Arc::clone(&core);
+            let flag = flag.clone();
+            let conn_stats = Arc::clone(&conn_stats);
+            ReactorHandle::spawn(
+                listener,
+                ReactorConfig {
                     max_connections: config.max_connections.max(1),
                     idle_timeout: config.idle_timeout,
                     ..ReactorConfig::default()
-                };
-                let reactor_clock = Arc::clone(core.clock());
-                let reactor_flag = flag.clone();
-                let reactor_stats = Arc::clone(&conn_stats);
-                let reactor_thread = std::thread::Builder::new()
-                    .name("kamel-route-reactor".into())
-                    .spawn(move || {
-                        if let Err(e) = run_reactor(
-                            listener,
-                            reactor_config,
-                            reactor_clock,
-                            reactor_flag,
-                            reactor_stats,
-                            on_request,
-                        ) {
-                            eprintln!("kamel-route: reactor failed: {e}");
-                        }
-                    })
-                    .expect("spawn router reactor thread");
-                (handler_threads, reactor_thread)
-            }
-            ConnMode::Threaded => {
-                // Handlers drain a bounded socket channel fed by the
-                // acceptor.
-                let (conn_tx, conn_rx) =
-                    mpsc::sync_channel::<TcpStream>(config.handlers.max(1) * 2);
-                let conn_rx = Arc::new(Mutex::new(conn_rx));
-                let handler_threads: Vec<_> = (0..config.handlers.max(1))
-                    .map(|i| {
-                        let conn_rx = Arc::clone(&conn_rx);
-                        let core = Arc::clone(&core);
-                        let flag = flag.clone();
-                        let conn_stats = Arc::clone(&conn_stats);
-                        std::thread::Builder::new()
-                            .name(format!("kamel-route-{i}"))
-                            .spawn(move || handler_loop(&conn_rx, &core, &flag, &conn_stats))
-                            .expect("spawn router handler")
-                    })
-                    .collect();
-                let accept_flag = flag.clone();
-                let poll = config.idle_poll.min(Duration::from_millis(50));
-                let accept_thread = std::thread::Builder::new()
-                    .name("kamel-route-accept".into())
-                    .spawn(move || {
-                        accept_loop(&listener, &conn_tx, &accept_flag, poll);
-                        drop(conn_tx);
-                    })
-                    .expect("spawn router accept thread");
-                (handler_threads, accept_thread)
-            }
+                },
+                Arc::clone(core.clock()),
+                flag.clone(),
+                Arc::clone(&conn_stats),
+                config.handlers,
+                "kamel-route",
+                move |request, received| route(request, received, &core, &flag, &conn_stats),
+            )?
         };
         let probe_core = Arc::clone(&core);
         let probe_flag = flag.clone();
@@ -147,9 +69,8 @@ impl Router {
             flag,
             core,
             conn_stats,
-            accept_thread: Some(accept_thread),
-            handler_threads,
-            probe_thread: Some(probe_thread),
+            connections,
+            probe_thread,
         })
     }
 
@@ -158,13 +79,13 @@ impl Router {
         self.addr
     }
 
-    /// The routing core (map, health, metrics) — shared with handlers.
+    /// The routing core (map, health, metrics) — shared with the
+    /// dispatch workers.
     pub fn core(&self) -> &Arc<RouterCore> {
         &self.core
     }
 
-    /// The live connection-layer counters (shared with the reactor or,
-    /// in threaded mode, the handlers).
+    /// The live connection-layer counters (shared with the reactor).
     pub fn connections(&self) -> &Arc<ConnStats> {
         &self.conn_stats
     }
@@ -177,36 +98,10 @@ impl Router {
 
     /// Graceful shutdown: stop accepting, finish requests in flight on
     /// every connection, stop probing, join all threads.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.flag.trip();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.handler_threads.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(t) = self.probe_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &mpsc::SyncSender<TcpStream>,
-    flag: &ShutdownFlag,
-    poll: Duration,
-) {
-    while !flag.is_tripped() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if conn_tx.send(stream).is_err() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(poll),
-            Err(_) => std::thread::sleep(poll),
-        }
+        self.connections.join();
+        let _ = self.probe_thread.join();
     }
 }
 
@@ -228,109 +123,6 @@ fn probe_loop(core: &RouterCore, flag: &ShutdownFlag) {
             return;
         }
         core.probe_all();
-    }
-}
-
-/// Reactor-mode worker: requests arrive already parsed, with the instant
-/// they finished parsing; the response goes back through the sink.
-fn dispatch_loop(
-    req_rx: &Mutex<mpsc::Receiver<(Request, Instant, ResponseSink)>>,
-    core: &RouterCore,
-    flag: &ShutdownFlag,
-    conn_stats: &ConnStats,
-) {
-    loop {
-        let next = req_rx.lock().unwrap().recv();
-        match next {
-            Ok((request, received, sink)) => {
-                sink.send(route(&request, received, core, flag, conn_stats));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn handler_loop(
-    conn_rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    core: &RouterCore,
-    flag: &ShutdownFlag,
-    conn_stats: &ConnStats,
-) {
-    loop {
-        let conn = conn_rx.lock().unwrap().recv();
-        match conn {
-            Ok(stream) => handle_connection(stream, core, flag, conn_stats),
-            Err(_) => return,
-        }
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    core: &RouterCore,
-    flag: &ShutdownFlag,
-    conn_stats: &ConnStats,
-) {
-    if stream.set_nonblocking(false).is_err()
-        || stream
-            .set_read_timeout(Some(core.config().idle_poll))
-            .is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    let Ok(mut write_half) = stream.try_clone() else {
-        return;
-    };
-    // Same admission rule as the reactor: past the cap, refuse with a
-    // best-effort 503 before reading anything. The slot is claimed with
-    // a CAS loop so concurrent handler threads cannot overshoot the cap
-    // under a simultaneous accept burst.
-    let cap = core.config().max_connections.max(1) as u64;
-    if conn_stats
-        .active
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-            (n < cap).then_some(n + 1)
-        })
-        .is_err()
-    {
-        conn_stats.rejected_total.fetch_add(1, Ordering::Relaxed);
-        let _ = Response::text(503, "overloaded: connection limit reached\n")
-            .with_header("retry-after", "1")
-            .write_to(&mut write_half, true);
-        return;
-    }
-    conn_stats.accepted_total.fetch_add(1, Ordering::Relaxed);
-    struct ActiveGuard<'a>(&'a ConnStats);
-    impl Drop for ActiveGuard<'_> {
-        fn drop(&mut self) {
-            self.0.active.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let _guard = ActiveGuard(conn_stats);
-    let mut reader = BufReader::new(stream);
-    loop {
-        if flag.is_tripped() {
-            return;
-        }
-        match read_request(&mut reader) {
-            Ok(request) => {
-                let received = core.clock().now();
-                let close = request.wants_close();
-                let response = route(&request, received, core, flag, conn_stats);
-                let close = close || response.status == 503;
-                if response.write_to(&mut write_half, close).is_err() || close {
-                    return;
-                }
-            }
-            Err(ReadError::Idle) => continue,
-            Err(ReadError::ConnectionClosed) => return,
-            Err(ReadError::Bad(status, msg)) => {
-                let _ = Response::text(status, msg).write_to(&mut write_half, true);
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
-        }
     }
 }
 

@@ -25,7 +25,8 @@ use kamel_chaos::{ChaosConfig, ChaosProxy, ChaosSchedule, Fault};
 use kamel_geo::{GpsPoint, Trajectory};
 use kamel_router::{BreakerPolicy, HealthPolicy, Router, RouterConfig, ShardInfo, ShardMap};
 use kamel_server::{
-    Client, ImputeEngine, RequestOpts, RetryPolicy, Server, ServerConfig, WireService,
+    Client, ImputeEngine, ImputeResponse, RequestOpts, RetryPolicy, Server, ServerConfig,
+    WireService,
 };
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
@@ -76,7 +77,6 @@ fn boot_shard(kamel: &Arc<Kamel>) -> Server {
         queue_cap: 64,
         cache_entries: 0,
         deadline: Duration::from_secs(30),
-        idle_poll: Duration::from_millis(50),
         degraded_mode: false,
         ..ServerConfig::default()
     };
@@ -104,7 +104,6 @@ fn drill_config(breaker: BreakerPolicy) -> RouterConfig {
             probe_interval: Duration::from_secs(600),
         },
         breaker,
-        idle_poll: Duration::from_millis(50),
         max_pool: 0,
         default_deadline: Duration::from_secs(10),
         degraded: false,
@@ -316,9 +315,12 @@ fn stalled_fleet_yields_an_honest_504_within_the_budget() {
         .post_json_opts(
             "/v1/impute",
             &body,
+            // The budget rides as a header only: a client-side budget of
+            // the same 250 ms would time the socket out a moment before
+            // the router's 504 (its clock starts at parse) can arrive.
             RequestOpts {
-                headers: &[],
-                budget: Some(Duration::from_millis(250)),
+                headers: &[("x-kamel-deadline-ms", "250")],
+                budget: None,
             },
         )
         .unwrap();
@@ -360,11 +362,10 @@ fn dark_fleet_answers_degraded_when_enabled() {
     assert_eq!(resp.status, 200, "{}", resp.text());
     assert_eq!(resp.header("x-kamel-degraded"), Some("no-shard-available"));
     assert_eq!(resp.header("x-kamel-shard"), Some("degraded"));
-    let value: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
-    assert_eq!(value["degraded"], serde_json::Value::Bool(true));
-    let dense = value["trajectory"]["points"]
-        .as_array()
-        .expect("degraded answer carries a trajectory");
+    let answer: ImputeResponse =
+        serde_json::from_slice(&resp.body).expect("degraded answer carries a trajectory");
+    assert!(answer.degraded);
+    let dense = &answer.trajectory.points;
     assert!(
         dense.len() > sparse.points.len(),
         "linear baseline filled the gap ({} points)",

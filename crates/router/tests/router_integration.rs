@@ -69,7 +69,6 @@ fn shard_config() -> ServerConfig {
         queue_cap: 64,
         cache_entries: 0,
         deadline: Duration::from_secs(30),
-        idle_poll: Duration::from_millis(50),
         degraded_mode: false,
         ..ServerConfig::default()
     }
@@ -97,7 +96,6 @@ fn router_config(eject_after: u32, probe_interval: Duration) -> RouterConfig {
             probe_interval,
         },
         breaker: BreakerPolicy::default(),
-        idle_poll: Duration::from_millis(50),
         max_pool: 8,
         default_deadline: Duration::from_secs(10),
         degraded: false,

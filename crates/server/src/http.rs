@@ -112,10 +112,6 @@ pub enum ReadError {
     /// The peer closed the connection before sending a request line —
     /// the normal end of a keep-alive connection, not an error to report.
     ConnectionClosed,
-    /// The socket read timed out with no request bytes pending — an idle
-    /// keep-alive connection. The caller should poll its shutdown flag and
-    /// try again.
-    Idle,
     /// The request violated the protocol or a size cap; the response
     /// status and message to answer with before closing.
     Bad(u16, String),
@@ -123,9 +119,9 @@ pub enum ReadError {
     Io(String),
 }
 
-/// Reads one request from `stream`. Blocks until a full request arrives,
-/// the peer closes, or the stream errors (honouring any read timeout set
-/// on the underlying socket).
+/// Reads one request from `stream` — the canonical parser. Blocks until a
+/// full request arrives, the peer closes, or the stream errors; the
+/// reactor calls it through [`RequestParser`] over fully buffered bytes.
 pub fn read_request(stream: &mut impl BufRead) -> Result<Request, ReadError> {
     let mut line = Vec::with_capacity(256);
     read_line_crlf(stream, &mut line, true)?;
@@ -217,17 +213,7 @@ fn read_line_crlf(
                     return Err(ReadError::Bad(431, "request line too long".into()));
                 }
             }
-            Err(e) => {
-                let timed_out = matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                );
-                return if timed_out && at_start && line.is_empty() {
-                    Err(ReadError::Idle)
-                } else {
-                    Err(ReadError::Io(e.to_string()))
-                };
-            }
+            Err(e) => return Err(ReadError::Io(e.to_string())),
         }
     }
 }
@@ -316,17 +302,17 @@ pub enum Parsed {
     Bad(u16, String),
 }
 
-/// An incremental, non-blocking HTTP/1.1 request parser for the reactor
-/// path. Bytes arrive in arbitrary fragments via [`RequestParser::feed`];
-/// [`RequestParser::poll`] yields a request as soon as one is complete.
+/// An incremental, non-blocking HTTP/1.1 request parser for the
+/// reactor. Bytes arrive in arbitrary fragments via
+/// [`RequestParser::feed`]; [`RequestParser::poll`] yields a request as
+/// soon as one is complete.
 ///
-/// **Equivalence by construction**: this type only *frames* — it finds
-/// the end of the head, extracts `Content-Length`, and once
-/// `head + body` bytes are buffered it delegates the actual parse to the
-/// canonical blocking [`read_request`] over exactly those bytes. Any
+/// **Fragmentation invariance by construction**: this type only
+/// *frames* — it finds the end of the head, extracts `Content-Length`,
+/// and once `head + body` bytes are buffered it delegates the actual
+/// parse to the canonical [`read_request`] over exactly those bytes. Any
 /// byte sequence therefore produces the identical `Request` (or the
-/// identical `Bad` status) on both the reactor and thread-per-connection
-/// paths.
+/// identical `Bad` status) however it was split into reads.
 ///
 /// Buffering is bounded up front: a head that exceeds
 /// [`MAX_HEAD_WIRE_BYTES`] without a terminating blank line is rejected
@@ -387,8 +373,7 @@ impl RequestParser {
             return Parsed::Incomplete;
         }
         // Exactly head + declared body: the canonical parser consumes all
-        // of it (or fails before the body) — identical outcome to the
-        // blocking path by construction.
+        // of it (or fails before the body).
         let outcome = read_request(&mut std::io::BufReader::new(&self.buf[..total]));
         match outcome {
             Ok(request) => {
@@ -401,7 +386,7 @@ impl RequestParser {
                 Parsed::Bad(status, message)
             }
             // Unreachable with a complete head + body, but total anyway.
-            Err(ReadError::ConnectionClosed) | Err(ReadError::Idle) => Parsed::Incomplete,
+            Err(ReadError::ConnectionClosed) => Parsed::Incomplete,
             Err(ReadError::Io(e)) => {
                 self.poisoned = true;
                 Parsed::Bad(400, e)

@@ -6,8 +6,9 @@
 //! concurrent clients:
 //!
 //! * **Worker pool** — a fixed number of batch workers drawn from the
-//!   process thread budget run the imputation compute; cheap connection
-//!   handlers park on tickets while batches execute ([`batcher`]).
+//!   process thread budget run the imputation compute; cheap dispatch
+//!   workers park on tickets while batches execute ([`batcher`]), and one
+//!   reactor thread owns every socket ([`reactor`]).
 //! * **Dynamic micro-batching** — concurrent single-trajectory requests
 //!   are coalesced into one [`kamel::Kamel::impute_batch`] call under a
 //!   max-batch-size / max-wait policy, and results are scattered back per
@@ -60,6 +61,6 @@ pub use http::{DEADLINE_HEADER, DEGRADED_HEADER};
 pub use learn::{FeedbackAck, FeedbackRequest, LearnSink, LearningInfo};
 pub use lru::LruCache;
 pub use metrics::Metrics;
-pub use reactor::{ConnStats, ReactorConfig};
-pub use server::{CacheKey, ConnMode, Server, ServerConfig, WireService};
+pub use reactor::{ConnStats, ReactorConfig, ReactorHandle};
+pub use server::{CacheKey, Server, ServerConfig, WireService};
 pub use shutdown::{install_signal_handlers, ShutdownFlag, SignalFlag};

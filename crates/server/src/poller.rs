@@ -1,6 +1,6 @@
-//! A dependency-free readiness poller: `epoll` on Linux, `kqueue` on
-//! macOS/FreeBSD — the OS primitive under the async serving core
-//! ([`crate::reactor`]) and the open-loop load generator.
+//! A dependency-free readiness poller: `epoll` on Linux/Android, `kqueue`
+//! on macOS/iOS/FreeBSD — the OS primitive under the connection layer
+//! ([`crate::reactor`]). The module exists only on those platforms.
 //!
 //! The build environment has no crates registry, so this speaks to the
 //! kernel directly through `extern "C"` declarations against the libc
@@ -16,18 +16,19 @@
 //! Everything is edge-triggered (`EPOLLET` / `EV_CLEAR`): a readiness
 //! event fires once per kernel-state transition, so consumers must drain
 //! (`read`/`write` until `WouldBlock`) before waiting again.
-//!
-//! On platforms with neither epoll nor kqueue, [`Poller::new`] returns
-//! `Unsupported` and the serving layer falls back to the blocking
-//! thread-per-connection path ([`crate::server::ConnMode::Threaded`]).
+
+#![cfg(any(
+    target_os = "linux",
+    target_os = "android",
+    target_os = "macos",
+    target_os = "ios",
+    target_os = "freebsd"
+))]
 
 use std::io;
-use std::time::Duration;
-
-#[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// The token [`Poller::wait`] reports for [`Waker`] wakeups. Reserved:
 /// never register a connection under it.
@@ -68,7 +69,7 @@ pub struct PollEvent {
     pub closed: bool,
 }
 
-#[cfg(all(unix, any(target_os = "linux", target_os = "android")))]
+#[cfg(any(target_os = "linux", target_os = "android"))]
 mod sys {
     //! Raw epoll, declared against the libc `std` links.
     use std::io;
@@ -200,7 +201,7 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, any(target_os = "macos", target_os = "ios", target_os = "freebsd")))]
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
 mod sys {
     //! Raw kqueue. Each (fd, filter) pair is its own kernel registration,
     //! so read and write interest are added/deleted independently.
@@ -405,70 +406,11 @@ mod sys {
     }
 }
 
-#[cfg(not(all(
-    unix,
-    any(
-        target_os = "linux",
-        target_os = "android",
-        target_os = "macos",
-        target_os = "ios",
-        target_os = "freebsd"
-    )
-)))]
-mod sys {
-    //! No readiness syscall on this platform; [`super::Poller::new`]
-    //! reports `Unsupported` and callers fall back to blocking I/O.
-    use std::io;
-    use std::time::Duration;
-
-    pub type RawFd = i32;
-
-    #[derive(Clone, Copy)]
-    pub struct Event;
-
-    pub struct Selector;
-
-    impl Selector {
-        pub fn new() -> io::Result<Selector> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "no epoll/kqueue on this platform",
-            ))
-        }
-
-        pub fn register(&self, _fd: RawFd, _token: u64, _events: u32) -> io::Result<()> {
-            unreachable!("Selector::new never succeeds here")
-        }
-
-        pub fn reregister(&self, _fd: RawFd, _token: u64, _events: u32) -> io::Result<()> {
-            unreachable!("Selector::new never succeeds here")
-        }
-
-        pub fn deregister(&self, _fd: RawFd) -> io::Result<()> {
-            unreachable!("Selector::new never succeeds here")
-        }
-
-        pub fn wait(&self, _buf: &mut [Event], _timeout: Option<Duration>) -> io::Result<usize> {
-            unreachable!("Selector::new never succeeds here")
-        }
-    }
-
-    pub fn event_mask(_interest: super::Interest) -> u32 {
-        0
-    }
-
-    pub fn decode(_ev: &Event) -> super::PollEvent {
-        unreachable!("Selector::new never succeeds here")
-    }
-}
-
 /// A readiness poller over the platform selector, with a built-in waker
 /// channel so other threads can interrupt [`Poller::wait`].
 pub struct Poller {
     selector: sys::Selector,
-    #[cfg(unix)]
     wake_rx: UnixStream,
-    #[cfg(unix)]
     wake_tx: UnixStream,
     events: Vec<sys::Event>,
 }
@@ -477,81 +419,59 @@ pub struct Poller {
 /// cheap; coalesces (many wakes before a drain produce one event).
 #[derive(Clone)]
 pub struct Waker {
-    #[cfg(unix)]
     tx: std::sync::Arc<UnixStream>,
 }
 
 impl Waker {
     /// Interrupts the poller's current (or next) `wait`.
     pub fn wake(&self) {
-        #[cfg(unix)]
-        {
-            use std::io::Write;
-            // A full pipe already guarantees a pending wake event.
-            let _ = (&*self.tx).write(&[1]);
-        }
+        use std::io::Write;
+        // A full pipe already guarantees a pending wake event.
+        let _ = (&*self.tx).write(&[1]);
     }
 }
 
 impl Poller {
-    /// Creates a poller, or `Unsupported` where no selector exists.
+    /// Creates a poller over a fresh selector and wake pipe.
     pub fn new() -> io::Result<Poller> {
         let selector = sys::Selector::new()?;
-        #[cfg(unix)]
-        {
-            let (wake_tx, wake_rx) = UnixStream::pair()?;
-            wake_rx.set_nonblocking(true)?;
-            wake_tx.set_nonblocking(true)?;
-            selector.register(
-                wake_rx.as_raw_fd(),
-                WAKE_TOKEN,
-                sys::event_mask(Interest::READ),
-            )?;
-            Ok(Poller {
-                selector,
-                wake_rx,
-                wake_tx,
-                events: vec![unsafe { std::mem::zeroed() }; 1024],
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = selector;
-            unreachable!("Selector::new never succeeds off unix")
-        }
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        selector.register(
+            wake_rx.as_raw_fd(),
+            WAKE_TOKEN,
+            sys::event_mask(Interest::READ),
+        )?;
+        Ok(Poller {
+            selector,
+            wake_rx,
+            wake_tx,
+            // SAFETY: `sys::Event` is integers (and, for kqueue, a raw
+            // pointer) only; all-zero bytes are a valid value of it.
+            events: vec![unsafe { std::mem::zeroed() }; 1024],
+        })
     }
 
     /// A handle that wakes this poller from any thread.
     pub fn waker(&self) -> Waker {
-        #[cfg(unix)]
-        {
-            Waker {
-                tx: std::sync::Arc::new(
-                    self.wake_tx.try_clone().expect("clone waker stream"),
-                ),
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            Waker {}
+        Waker {
+            tx: std::sync::Arc::new(self.wake_tx.try_clone().expect("clone waker stream")),
         }
     }
 
     /// Watches `fd` (edge-triggered) under `token`.
-    #[cfg(unix)]
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         debug_assert_ne!(token, WAKE_TOKEN, "WAKE_TOKEN is reserved");
         self.selector.register(fd, token, sys::event_mask(interest))
     }
 
     /// Changes the interest set of a registered fd.
-    #[cfg(unix)]
     pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.selector.reregister(fd, token, sys::event_mask(interest))
     }
 
     /// Stops watching `fd` (also implicit when the fd is closed).
-    #[cfg(unix)]
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
         self.selector.deregister(fd)
     }
@@ -565,14 +485,11 @@ impl Poller {
         for i in 0..n {
             let ev = sys::decode(&self.events[i]);
             if ev.token == WAKE_TOKEN {
-                #[cfg(unix)]
-                {
-                    use std::io::Read;
-                    let mut sink = [0u8; 64];
-                    while let Ok(k) = (&self.wake_rx).read(&mut sink) {
-                        if k < sink.len() {
-                            break;
-                        }
+                use std::io::Read;
+                let mut sink = [0u8; 64];
+                while let Ok(k) = (&self.wake_rx).read(&mut sink) {
+                    if k < sink.len() {
+                        break;
                     }
                 }
                 out.push(PollEvent {
@@ -589,7 +506,7 @@ impl Poller {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

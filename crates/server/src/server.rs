@@ -1,5 +1,6 @@
-//! The online imputation service: accept loop, connection handlers,
-//! routing, response cache, and graceful shutdown.
+//! The online imputation service: routing, response cache, hot reload,
+//! and graceful shutdown over the shared connection layer
+//! ([`crate::reactor`]).
 //!
 //! The HTTP machinery is generic over a [`WireService`] — parse, batch
 //! execution, cache keying, and rendering live behind that trait — so
@@ -9,32 +10,30 @@
 //!
 //! Threading model:
 //!
-//! * 1 accept thread — non-blocking accept + shutdown poll, hands sockets
-//!   to a bounded channel;
-//! * N connection handlers — read requests (keep-alive), route, and for
+//! * 1 reactor thread — owns the listener and every socket (accept,
+//!   incremental parse, write-out, idle timers);
+//! * N dispatch workers — run `route` on parsed requests, and for
 //!   `/v1/impute` park on a batcher [`crate::batcher::Ticket`];
 //! * M batch workers (inside [`crate::batcher::Batcher`]) — coalesce
 //!   queued trajectories and run the engine's `impute_batch`.
 //!
-//! Shutdown: trip the flag → the accept thread stops accepting and exits →
-//! handlers finish the request in flight on each connection, then close it
-//! → the batcher drains everything already admitted → all threads join.
+//! Shutdown: trip the flag → the reactor stops accepting, closes idle
+//! connections, finishes the request in flight on each remaining one and
+//! exits → the dispatch workers end → the batcher drains everything
+//! already admitted → all threads join.
 
 use crate::batcher::{Batcher, BatcherConfig, SubmitError, WaitError};
 use crate::clock::{Clock, SystemClock};
 use crate::http::{
-    parse_deadline_header, read_request, DeadlineHeader, ReadError, Request, Response,
-    DEADLINE_HEADER, DEGRADED_HEADER,
+    parse_deadline_header, DeadlineHeader, Request, Response, DEADLINE_HEADER, DEGRADED_HEADER,
 };
 use crate::lru::LruCache;
 use crate::metrics::Metrics;
-use crate::poller::Poller;
-use crate::reactor::{run_reactor, ConnStats, ReactorConfig, RequestHandler, ResponseSink};
+use crate::reactor::{ConnStats, ReactorConfig, ReactorHandle};
 use crate::shutdown::ShutdownFlag;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Cache key for one imputation request: the tokenized gap context (the
@@ -124,26 +123,10 @@ pub trait WireService: Send + Sync + 'static {
     /// continual learner. `None` means learning is not enabled on this
     /// service (the route answers 404); `Some(Err)` is a malformed body
     /// (400); `Some(Ok(body))` is the 200 acknowledgement JSON. Must not
-    /// block: it runs on a connection handler thread.
+    /// block: it runs on a dispatch worker.
     fn feedback(&self, _body: &[u8]) -> Option<Result<Vec<u8>, String>> {
         None
     }
-}
-
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnMode {
-    /// One reactor thread drives every connection through non-blocking
-    /// state machines ([`crate::reactor`]); `handlers` worker threads run
-    /// the routing/batching logic. Concurrency is bounded by
-    /// `max_connections`, not threads. Falls back to [`ConnMode::Threaded`]
-    /// (with a warning) on platforms without epoll/kqueue.
-    #[default]
-    Reactor,
-    /// The original blocking thread-per-connection path: `handlers`
-    /// threads each own one connection at a time. Kept for equivalence
-    /// testing and as the portable fallback.
-    Threaded,
 }
 
 /// Server tuning knobs.
@@ -152,8 +135,9 @@ pub struct ServerConfig {
     /// Batch workers executing `run_batch` (the imputation compute pool;
     /// size it from the process thread budget).
     pub workers: usize,
-    /// Connection-handler threads (each parks cheaply on a ticket while a
-    /// batch runs, so this can comfortably exceed `workers`).
+    /// Dispatch workers running the routing logic for parsed requests
+    /// (each parks cheaply on a ticket while a batch runs, so this can
+    /// comfortably exceed `workers`).
     pub handlers: usize,
     /// Largest coalesced batch.
     pub batch_max: usize,
@@ -167,20 +151,15 @@ pub struct ServerConfig {
     /// (or raise, up to the parse cap) their own budget per request via
     /// the `x-kamel-deadline-ms` header.
     pub deadline: Duration,
-    /// Socket read timeout — the shutdown-poll period for idle keep-alive
-    /// connections.
-    pub idle_poll: Duration,
     /// When set, an overloaded admission queue answers from the service's
     /// cheap [`WireService::degraded`] fallback (marked degraded) instead
     /// of shedding with 503.
     pub degraded_mode: bool,
-    /// Connection multiplexing strategy.
-    pub mode: ConnMode,
     /// Hard cap on concurrently open connections; accepts beyond it are
     /// answered 503 and closed.
     pub max_connections: usize,
-    /// Reactor mode only: a connection with no read/write progress for
-    /// this long is closed (idle keep-alive and slow-loris alike).
+    /// A connection with no read/write progress for this long is closed
+    /// (idle keep-alive and slow-loris alike).
     pub idle_timeout: Duration,
 }
 
@@ -194,9 +173,7 @@ impl Default for ServerConfig {
             queue_cap: 256,
             cache_entries: 1024,
             deadline: Duration::from_secs(10),
-            idle_poll: Duration::from_millis(200),
             degraded_mode: false,
-            mode: ConnMode::Reactor,
             max_connections: 10_000,
             idle_timeout: Duration::from_secs(30),
         }
@@ -222,10 +199,8 @@ pub struct Server {
     flag: ShutdownFlag,
     metrics: Arc<Metrics>,
     conn_stats: Arc<ConnStats>,
-    // Reactor mode: the reactor thread. Threaded mode: the accept thread.
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    handler_threads: Vec<std::thread::JoinHandle<()>>,
-    shutdown_batcher: Option<Box<dyn FnOnce() + Send>>,
+    connections: ReactorHandle,
+    shutdown_batcher: Box<dyn FnOnce() + Send>,
     // Type-erased so `Server` needs no `S` parameter; same code path as
     // `POST /admin/reload` (metrics + cache invalidation included).
     reload_fn: Box<dyn Fn() -> Result<String, String> + Send + Sync>,
@@ -262,22 +237,9 @@ impl Server {
         clock: Arc<dyn Clock>,
     ) -> std::io::Result<Server> {
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let metrics = Arc::new(Metrics::new());
         let flag = ShutdownFlag::new();
         let conn_stats = Arc::new(ConnStats::default());
-        // Reactor mode needs an epoll/kqueue selector; fall back to the
-        // blocking path (same wire behavior) where none exists.
-        let mode = match config.mode {
-            ConnMode::Reactor if Poller::new().is_err() => {
-                eprintln!(
-                    "kamel-serve: no epoll/kqueue on this platform; \
-                     falling back to thread-per-connection"
-                );
-                ConnMode::Threaded
-            }
-            mode => mode,
-        };
         let shared = Arc::new(Shared {
             service: Arc::clone(&service),
             metrics: Arc::clone(&metrics),
@@ -300,92 +262,30 @@ impl Server {
             move |n| batch_metrics.batch_size.observe(n as u64),
             Arc::clone(&clock),
         ));
-        let (handler_threads, accept_thread) = match mode {
-            ConnMode::Reactor => {
-                // Dispatch workers run the routing/batching logic for
-                // requests the reactor parses; each parks cheaply on a
-                // batcher ticket while a batch computes.
-                let (req_tx, req_rx) =
-                    mpsc::channel::<(Request, Instant, ResponseSink)>();
-                let req_rx = Arc::new(Mutex::new(req_rx));
-                let handler_threads: Vec<_> = (0..config.handlers.max(1))
-                    .map(|i| {
-                        let req_rx = Arc::clone(&req_rx);
-                        let shared = Arc::clone(&shared);
-                        let batcher = Arc::clone(&batcher);
-                        std::thread::Builder::new()
-                            .name(format!("kamel-http-{i}"))
-                            .spawn(move || dispatch_loop(&req_rx, &shared, &batcher))
-                            .expect("spawn dispatch worker")
-                    })
-                    .collect();
-                // The reactor owns `req_tx` (inside its handler); when it
-                // drains and exits, the channel disconnects the workers.
-                let on_request: RequestHandler =
-                    Box::new(move |request, received, sink| {
-                        let _ = req_tx.send((request, received, sink));
-                    });
-                let reactor_config = ReactorConfig {
+        let connections = {
+            let shared = Arc::clone(&shared);
+            let batcher = Arc::clone(&batcher);
+            ReactorHandle::spawn(
+                listener,
+                ReactorConfig {
                     max_connections: config.max_connections.max(1),
                     idle_timeout: config.idle_timeout,
                     ..ReactorConfig::default()
-                };
-                let reactor_flag = flag.clone();
-                let reactor_clock = Arc::clone(&clock);
-                let reactor_stats = Arc::clone(&conn_stats);
-                let reactor_thread = std::thread::Builder::new()
-                    .name("kamel-reactor".into())
-                    .spawn(move || {
-                        if let Err(e) = run_reactor(
-                            listener,
-                            reactor_config,
-                            reactor_clock,
-                            reactor_flag,
-                            reactor_stats,
-                            on_request,
-                        ) {
-                            eprintln!("kamel-serve: reactor failed: {e}");
-                        }
-                    })
-                    .expect("spawn reactor thread");
-                (handler_threads, reactor_thread)
-            }
-            ConnMode::Threaded => {
-                // Connection handlers drain a bounded socket channel.
-                let (conn_tx, conn_rx) =
-                    mpsc::sync_channel::<TcpStream>(config.handlers.max(1) * 2);
-                let conn_rx = Arc::new(Mutex::new(conn_rx));
-                let handler_threads: Vec<_> = (0..config.handlers.max(1))
-                    .map(|i| {
-                        let conn_rx = Arc::clone(&conn_rx);
-                        let shared = Arc::clone(&shared);
-                        let batcher = Arc::clone(&batcher);
-                        std::thread::Builder::new()
-                            .name(format!("kamel-http-{i}"))
-                            .spawn(move || handler_loop(&conn_rx, &shared, &batcher))
-                            .expect("spawn connection handler")
-                    })
-                    .collect();
-                // The accept thread owns `conn_tx`; dropping it on shutdown
-                // disconnects the handlers' channel.
-                let accept_flag = flag.clone();
-                let poll = config.idle_poll.min(Duration::from_millis(50));
-                let accept_thread = std::thread::Builder::new()
-                    .name("kamel-accept".into())
-                    .spawn(move || {
-                        accept_loop(&listener, &conn_tx, &accept_flag, poll);
-                        drop(conn_tx);
-                    })
-                    .expect("spawn accept thread");
-                (handler_threads, accept_thread)
-            }
+                },
+                clock,
+                flag.clone(),
+                Arc::clone(&conn_stats),
+                config.handlers,
+                "kamel-http",
+                move |request, received| route(request, received, &shared, &batcher),
+            )?
         };
-        // Draining the batcher must wait until the handlers are done
-        // (they hold tickets); keep it behind a closure for `shutdown`.
+        // Draining the batcher must wait until the dispatch workers are
+        // done (they hold tickets); keep it behind a closure for `shutdown`.
         let shutdown_batcher: Box<dyn FnOnce() + Send> = Box::new(move || {
             match Arc::try_unwrap(batcher) {
                 Ok(batcher) => batcher.shutdown(),
-                Err(_) => unreachable!("all handler threads joined before the batcher drain"),
+                Err(_) => unreachable!("all dispatch workers joined before the batcher drain"),
             }
         });
         let reload_shared_handle = Arc::clone(&shared);
@@ -396,15 +296,13 @@ impl Server {
             flag,
             metrics,
             conn_stats,
-            accept_thread: Some(accept_thread),
-            handler_threads,
-            shutdown_batcher: Some(shutdown_batcher),
+            connections,
+            shutdown_batcher,
             reload_fn,
         })
     }
 
-    /// The live connection-layer counters (shared with the reactor or,
-    /// in threaded mode, the handlers).
+    /// The live connection-layer counters (shared with the reactor).
     pub fn connections(&self) -> &Arc<ConnStats> {
         &self.conn_stats
     }
@@ -414,7 +312,7 @@ impl Server {
         self.addr
     }
 
-    /// The live metrics (shared with the handlers).
+    /// The live metrics (shared with the dispatch workers).
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
@@ -434,17 +332,10 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, finish every request in flight,
     /// drain the admitted queue, and join all threads.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.flag.trip();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.handler_threads.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(drain) = self.shutdown_batcher.take() {
-            drain();
-        }
+        self.connections.join();
+        (self.shutdown_batcher)();
     }
 }
 
@@ -454,135 +345,6 @@ struct BatchAdapter<S>(Arc<S>);
 impl<S: WireService> crate::batcher::BatchRunner<S::Job, S::Out> for BatchAdapter<S> {
     fn run_batch(&self, batch: Vec<S::Job>) -> Vec<S::Out> {
         self.0.run_batch(batch)
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &mpsc::SyncSender<TcpStream>,
-    flag: &ShutdownFlag,
-    poll: Duration,
-) {
-    while !flag.is_tripped() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if conn_tx.send(stream).is_err() {
-                    return; // handlers are gone; nothing to serve
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
-        }
-    }
-}
-
-/// Reactor-mode worker: runs the routing/batching logic for parsed
-/// requests and hands the response back to the reactor through the sink.
-fn dispatch_loop<S: WireService>(
-    req_rx: &Mutex<mpsc::Receiver<(Request, Instant, ResponseSink)>>,
-    shared: &Shared<S>,
-    batcher: &Batcher<S::Job, S::Out>,
-) {
-    loop {
-        // Holding the receiver lock only while dequeueing.
-        let item = req_rx.lock().unwrap().recv();
-        match item {
-            Ok((request, received, sink)) => {
-                sink.send(route(&request, received, shared, batcher));
-            }
-            Err(_) => return, // reactor drained and dropped the sender
-        }
-    }
-}
-
-fn handler_loop<S: WireService>(
-    conn_rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    shared: &Shared<S>,
-    batcher: &Batcher<S::Job, S::Out>,
-) {
-    loop {
-        // Holding the receiver lock only while dequeueing.
-        let conn = conn_rx.lock().unwrap().recv();
-        match conn {
-            Ok(stream) => handle_connection(stream, shared, batcher),
-            Err(_) => return, // accept thread exited and the queue is dry
-        }
-    }
-}
-
-fn handle_connection<S: WireService>(
-    stream: TcpStream,
-    shared: &Shared<S>,
-    batcher: &Batcher<S::Job, S::Out>,
-) {
-    let stats = &shared.conn_stats;
-    // Claim a slot atomically (CAS loop): a plain check-then-increment
-    // across concurrent handler threads can overshoot the cap by up to
-    // the pool size under a simultaneous accept burst; the reactor path
-    // is single-threaded and exact, so match it.
-    let cap = shared.config.max_connections.max(1) as u64;
-    if stats
-        .active
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-            (n < cap).then_some(n + 1)
-        })
-        .is_err()
-    {
-        stats.rejected_total.fetch_add(1, Ordering::Relaxed);
-        let mut stream = stream;
-        let _ = Response::text(503, "overloaded: connection limit reached\n")
-            .with_header("retry-after", "1")
-            .write_to(&mut stream, true);
-        return;
-    }
-    // Release the claimed slot on every return path below.
-    struct ActiveGuard<'a>(&'a ConnStats);
-    impl Drop for ActiveGuard<'_> {
-        fn drop(&mut self) {
-            self.0.active.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let _guard = ActiveGuard(stats);
-    if stream.set_nonblocking(false).is_err()
-        || stream
-            .set_read_timeout(Some(shared.config.idle_poll))
-            .is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    stats.accepted_total.fetch_add(1, Ordering::Relaxed);
-    let mut write_half = write_half;
-    let mut reader = BufReader::new(stream);
-    loop {
-        if shared.flag.is_tripped() {
-            return; // draining: no further requests on this connection
-        }
-        match read_request(&mut reader) {
-            Ok(request) => {
-                let close = request.wants_close();
-                let received = shared.clock.now();
-                let response = route(&request, received, shared, batcher);
-                // A shed or draining response also closes the connection so
-                // the client re-establishes after backing off.
-                let close = close || response.status == 503;
-                if response.write_to(&mut write_half, close).is_err() || close {
-                    return;
-                }
-            }
-            Err(ReadError::Idle) => continue, // poll the shutdown flag
-            Err(ReadError::ConnectionClosed) => return,
-            Err(ReadError::Bad(status, msg)) => {
-                let _ = Response::text(status, msg).write_to(&mut write_half, true);
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
-        }
     }
 }
 
@@ -656,7 +418,7 @@ fn route<S: WireService>(
 /// handle: swap the model via [`WireService::reload`], then invalidate
 /// the response cache (entries keyed under the old generation could
 /// otherwise answer until evicted) and count the outcome. Runs on the
-/// calling handler thread, so serving continues while the new checkpoint
+/// calling thread, so serving continues while the new checkpoint
 /// loads; a failure leaves the cache and model untouched.
 fn reload_model<S: WireService>(shared: &Shared<S>) -> Result<String, String> {
     match shared.service.reload() {
@@ -705,8 +467,8 @@ fn impute<S: WireService>(
     batcher: &Batcher<S::Job, S::Out>,
 ) -> Response {
     // The latency/deadline base is the instant the request came off the
-    // wire — in reactor mode that predates dispatch-queue time, so a
-    // backlog burns request budget instead of hiding from it.
+    // wire — that predates dispatch-queue time, so a backlog burns request
+    // budget instead of hiding from it.
     let start = received;
     let metrics = &shared.metrics;
     // The request's budget: the client's `x-kamel-deadline-ms` header when
@@ -820,6 +582,7 @@ mod tests {
     use crate::client::{Client, RequestOpts};
     use crate::clock::ManualClock;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     /// A stub backend: jobs are UTF-8 strings, imputation is uppercasing.
     /// Bodies starting with `nokey:` are uncacheable; empty bodies fail to
@@ -933,7 +696,6 @@ mod tests {
             queue_cap: 32,
             cache_entries: 64,
             deadline: Duration::from_secs(5),
-            idle_poll: Duration::from_millis(50),
             degraded_mode: false,
             ..ServerConfig::default()
         }

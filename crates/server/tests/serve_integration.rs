@@ -70,7 +70,6 @@ fn config(cache_entries: usize) -> ServerConfig {
         queue_cap: 64,
         cache_entries,
         deadline: Duration::from_secs(30),
-        idle_poll: Duration::from_millis(50),
         degraded_mode: false,
         ..ServerConfig::default()
     }

@@ -27,10 +27,9 @@ use kamel::{ModelHandle, ModelSource, ResidencyStats};
 use kamel_geo::BBox;
 use kamel_lm::TrainedModel;
 use kamel_nn::ByteSource;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// LRU bookkeeping, model-free so the policy is testable in isolation:
 /// per-record cost, recency tick, and pin flag.
@@ -187,9 +186,17 @@ impl StoreSource {
         Ok(())
     }
 
+    /// The resident set. Poisoning is ignored, as under the non-poisoning
+    /// lock this replaced: the critical sections only move map entries and
+    /// counters, so a holder cannot unwind with the ledger and the model
+    /// map out of step.
+    fn resident(&self) -> MutexGuard<'_, Resident> {
+        self.resident.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current residency counters.
     pub fn stats(&self) -> ResidencyStats {
-        let r = self.resident.lock();
+        let r = self.resident();
         ResidencyStats {
             resident_models: r.ledger.entries.len(),
             pinned_models: r.ledger.entries.values().filter(|s| s.pinned).count(),
@@ -209,7 +216,7 @@ impl StoreSource {
         idx: usize,
     ) -> Result<Arc<TrainedModel>, StoreError> {
         {
-            let mut r = self.resident.lock();
+            let mut r = self.resident();
             if r.ledger.touch(idx) {
                 return Ok(r.models[&idx].clone());
             }
@@ -219,7 +226,7 @@ impl StoreSource {
         let view = self.store.record(idx)?;
         let model = Arc::new(self.decode(sel, &view)?);
         let cost = view.payload_len as u64;
-        let mut r = self.resident.lock();
+        let mut r = self.resident();
         if r.ledger.touch(idx) {
             // Another thread won the race; serve its copy.
             return Ok(r.models[&idx].clone());
