@@ -10,7 +10,7 @@
 //! zero-steady-state-allocation claim of `kamel_nn::infer`.
 
 use kamel_nn::{
-    set_backend, set_thread_budget, supported_backends, BertConfig, BertMlmModel, InferScratch,
+    set_backend, supported_backends, BertConfig, BertMlmModel, InferScratch,
     QuantizedBertMlm,
 };
 use rand::SeedableRng;
@@ -99,8 +99,7 @@ fn bench_scale(name: &str, config: BertConfig, seq_len: usize, reps: usize) -> s
     });
     assert_eq!(reference, fast, "grad-free path diverged at scale {name}");
 
-    // --- Steady state allocates nothing (warm scratch, thread budget 1 —
-    // multi-thread dispatch spawns scoped workers, which allocate).
+    // --- Steady state allocates nothing (warm scratch).
     let (alloc_calls, alloc_bytes, _) =
         count_allocs(|| model.predict_with(&mut scratch, &ids, mask_pos).len());
     assert_eq!(
@@ -220,6 +219,7 @@ fn bench_backends(config: BertConfig, seq_len: usize, reps: usize) -> serde_json
 
     let backends = supported_backends();
     let mut rows = Vec::new();
+    let mut worst_agreement = f64::INFINITY;
     let mut scalar_f32_s = f64::NAN;
     let mut scalar_bits: Vec<u32> = Vec::new();
     for b in &backends {
@@ -257,6 +257,7 @@ fn bench_backends(config: BertConfig, seq_len: usize, reps: usize) -> serde_json
                 .map(|(a, b)| (a - b).abs() as f64)
                 .sum::<f64>();
         }
+        worst_agreement = worst_agreement.min(agree as f64 / probes.len() as f64);
         rows.push(json!({
             "backend": b.name(),
             "f32_single_s": f32_s,
@@ -275,10 +276,6 @@ fn bench_backends(config: BertConfig, seq_len: usize, reps: usize) -> serde_json
     // agreement is backend-independent; gate it against the serving
     // default from `kamel-core`.
     let gate = kamel::KamelConfig::default().quantize_min_agreement;
-    let worst_agreement = rows
-        .iter()
-        .map(|r| r["int8_top1_agreement"].as_f64().expect("agreement"))
-        .fold(f64::INFINITY, f64::min);
     json!({
         "simd_isa": kamel_nn::active_isa(),
         "int8_weight_bytes": quant.weight_bytes(),
@@ -289,14 +286,10 @@ fn bench_backends(config: BertConfig, seq_len: usize, reps: usize) -> serde_json
 }
 
 fn main() {
-    let host = kamel_nn::available_threads();
-    // Thread budget 1 throughout: the old-vs-new comparison is a per-core
-    // property (no caches, no logits matrix, masked-row head), and the
-    // zero-allocation assertion requires the single-thread kernels (the
-    // parallel dispatch allocates its scoped workers).
-    set_thread_budget(1);
-    let budget = kamel_nn::thread_budget();
-    eprintln!("bench_infer: host threads = {host}, budget pinned to {budget}");
+    // Everything measured here runs on the calling thread (`kamel-nn`
+    // spawns none), so the host's core count is recorded only for context.
+    let host = kamel::available_threads();
+    eprintln!("bench_infer: host threads = {host}");
     let tiny = bench_scale("tiny", BertConfig::tiny(2048), 24, 30);
     eprintln!("tiny scale done");
     let small = bench_scale("small", BertConfig::small(8192), 48, 20);
@@ -307,13 +300,8 @@ fn main() {
         "bench": "bench_infer",
         "status": "measured",
         "host_threads": host,
-        "thread_budget": budget,
         "scales": [tiny, small],
         "simd": simd,
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_infer.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_infer.json");
-    println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
-    println!("wrote {path}");
+    kamel_bench::write_bench_json("BENCH_infer.json", &doc);
 }

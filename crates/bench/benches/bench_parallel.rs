@@ -1,68 +1,80 @@
-//! Sequential-vs-parallel speedup of the three compute tiers: matmul
-//! kernels, per-cell pyramid maintenance, and batch imputation. Writes
-//! `BENCH_parallel.json` at the repo root so the perf trajectory is
-//! tracked across PRs.
+//! One-worker-vs-budget speedup of the two parallel tiers: per-cell
+//! pyramid maintenance and batch imputation (n-gram and BERT-tiny
+//! engines). Writes `BENCH_parallel.json` at the repo root so the perf
+//! trajectory is tracked across PRs.
 //!
 //! Run with `cargo bench --bench bench_parallel`. Not a criterion bench:
-//! each tier is timed best-of-N with `Instant` because the parallel paths
-//! are compared against their own sequential twins, and bit-identity is
-//! asserted along the way.
+//! each row alternates its one-worker and full-budget runs, reports every
+//! run and compares the best of each side, asserting identical output
+//! along the way.
 
 use kamel::partition::Repository;
 use kamel::{Kamel, KamelConfig};
-use kamel_bench::{default_kamel_config, City};
+use kamel_bench::{default_kamel_config, write_bench_json, City};
 use kamel_geo::{BBox, Trajectory, Xy};
 use kamel_hexgrid::CellId;
-use kamel_lm::EngineConfig;
-use kamel_nn::Matrix;
+use kamel_lm::{BertEngineConfig, EngineConfig};
 use kamel_roadsim::DatasetScale;
 use kamel_trajstore::{TokenTrajectory, TrajStore};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use serde::Serialize;
 use serde_json::json;
 use std::time::Instant;
 
-/// Best-of-`reps` wall time of `f` in seconds.
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(out);
-    }
-    (best, last.expect("reps >= 1"))
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_secs_f64(), out)
 }
 
-fn speedup(seq_s: f64, par_s: f64) -> f64 {
-    if par_s > 0.0 {
-        seq_s / par_s
-    } else {
-        f64::INFINITY
-    }
+/// One tier × engine comparison; `*_per_s` are `items` (of `unit`) per
+/// best second.
+#[derive(Serialize)]
+struct Row {
+    engine: String,
+    unit: String,
+    items: usize,
+    seq_s: f64,
+    par_s: f64,
+    seq_per_s: f64,
+    par_per_s: f64,
+    speedup: f64,
+    seq_runs_s: Vec<f64>,
+    par_runs_s: Vec<f64>,
 }
 
-/// Matmul sweep: square NN products, sequential kernel vs the parallel one
-/// on the full thread budget.
-fn bench_matmul(budget: usize) -> Vec<serde_json::Value> {
-    let mut rows = Vec::new();
-    for size in [64usize, 128, 256, 384] {
-        let mut rng = ChaCha8Rng::seed_from_u64(size as u64);
-        let a = Matrix::randn(size, size, 1.0, &mut rng);
-        let b = Matrix::randn(size, size, 1.0, &mut rng);
-        let reps = if size <= 128 { 20 } else { 8 };
-        let (seq_s, seq) = best_of(reps, || a.matmul_seq(&b));
-        let (par_s, par) = best_of(reps, || a.matmul_par_with(&b, budget));
-        assert_eq!(seq.data(), par.data(), "parallel kernel diverged at {size}");
-        rows.push(json!({
-            "size": size,
-            "seq_s": seq_s,
-            "par_s": par_s,
-            "speedup": speedup(seq_s, par_s),
-        }));
+/// Runs `seq` and `par` alternately `REPS` times (so a slow spell of the
+/// host lands on both sides), asserts each pair's outputs equal, and
+/// reports every run plus the best of each side.
+fn compare<T: PartialEq>(
+    engine: &str,
+    unit: &str,
+    items: usize,
+    mut seq: impl FnMut() -> T,
+    mut par: impl FnMut() -> T,
+) -> Row {
+    const REPS: usize = 5;
+    let (mut seq_runs_s, mut par_runs_s) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        let (seq_s, seq_out) = timed(&mut seq);
+        let (par_s, par_out) = timed(&mut par);
+        assert!(seq_out == par_out, "{engine} {unit}: parallel output diverged");
+        seq_runs_s.push(seq_s);
+        par_runs_s.push(par_s);
     }
-    rows
+    let best = |runs: &[f64]| runs.iter().copied().fold(f64::INFINITY, f64::min);
+    let (seq_s, par_s) = (best(&seq_runs_s), best(&par_runs_s));
+    Row {
+        engine: engine.to_string(),
+        unit: unit.to_string(),
+        items,
+        seq_s,
+        par_s,
+        seq_per_s: items as f64 / seq_s,
+        par_per_s: items as f64 / par_s,
+        speedup: seq_s / par_s,
+        seq_runs_s,
+        par_runs_s,
+    }
 }
 
 /// Inserts `n` short trajectories confined to `region` into the store
@@ -86,7 +98,7 @@ fn fill_region(store: &mut TrajStore, region: BBox, n: usize) {
 }
 
 /// One full `maintain` pass over a multi-cell pyramid, 1 worker vs budget.
-fn bench_maintain(budget: usize) -> serde_json::Value {
+fn bench_maintain(engine: &EngineConfig, trajectories: usize, budget: usize) -> Row {
     let root = BBox::new(Xy::new(0.0, 0.0), Xy::new(1600.0, 1600.0));
     let config = KamelConfig::builder()
         .pyramid_height(3)
@@ -94,36 +106,22 @@ fn bench_maintain(budget: usize) -> serde_json::Value {
         .model_threshold_k(10)
         .build();
     let mut store = TrajStore::new(200.0);
-    fill_region(&mut store, root, 2_000);
-    let engine = EngineConfig::default();
-    let (seq_s, seq_repo) = best_of(3, || {
+    fill_region(&mut store, root, trajectories);
+    let maintain = |threads: usize| {
         let mut repo = Repository::new(root, &config);
-        repo.maintain_with_threads(&store, &root, &engine, 1);
-        repo
-    });
-    let (par_s, par_repo) = best_of(3, || {
-        let mut repo = Repository::new(root, &config);
-        repo.maintain_with_threads(&store, &root, &engine, budget);
-        repo
-    });
-    assert_eq!(
-        seq_repo.model_count(),
-        par_repo.model_count(),
-        "parallel maintenance diverged"
-    );
-    json!({
-        "models": seq_repo.model_count(),
-        "seq_s": seq_s,
-        "par_s": par_s,
-        "speedup": speedup(seq_s, par_s),
-    })
+        repo.maintain_with_threads(&store, &root, engine, threads);
+        repo.model_count()
+    };
+    let models = maintain(1);
+    compare(engine.name(), "models", models, || maintain(1), || maintain(budget))
 }
 
 /// Batch imputation over the Porto analogue's test slice, 1 worker vs
 /// budget.
-fn bench_impute(budget: usize) -> serde_json::Value {
+fn bench_impute(config: KamelConfig, budget: usize) -> Row {
     let dataset = City::Porto.dataset(DatasetScale::Small);
-    let kamel = Kamel::new(default_kamel_config().build());
+    let engine = config.engine.name();
+    let kamel = Kamel::new(config);
     kamel.train(&dataset.train);
     let sparse: Vec<Trajectory> = dataset
         .test
@@ -131,20 +129,18 @@ fn bench_impute(budget: usize) -> serde_json::Value {
         .take(60)
         .map(|t| t.sparsify(1_000.0))
         .collect();
-    let (seq_s, seq) = best_of(3, || kamel.impute_batch_with_threads(&sparse, 1));
-    let (par_s, par) = best_of(3, || kamel.impute_batch_with_threads(&sparse, budget));
-    assert_eq!(seq, par, "parallel batch imputation diverged");
-    json!({
-        "trajectories": sparse.len(),
-        "seq_s": seq_s,
-        "par_s": par_s,
-        "speedup": speedup(seq_s, par_s),
-    })
+    compare(
+        engine,
+        "trajectories",
+        sparse.len(),
+        || kamel.impute_batch_with_threads(&sparse, 1),
+        || kamel.impute_batch_with_threads(&sparse, budget),
+    )
 }
 
 fn main() {
-    let host = kamel_nn::available_threads();
-    let budget = kamel_nn::thread_budget();
+    let host = kamel::available_threads();
+    let budget = kamel::thread_budget();
     eprintln!("bench_parallel: host threads = {host}, budget = {budget}");
     // A sequential-vs-parallel comparison on one hardware thread measures
     // scheduling overhead, not speedup. Say so loudly and tag the output
@@ -162,24 +158,24 @@ fn main() {
         );
         "measured-single-core"
     };
-    let matmul = bench_matmul(budget);
-    eprintln!("matmul sweep done");
-    let maintain = bench_maintain(budget);
-    eprintln!("maintain pass done");
-    let impute = bench_impute(budget);
+    let bert_tiny = EngineConfig::Bert(BertEngineConfig::for_tests());
+    let maintain = vec![
+        bench_maintain(&EngineConfig::default(), 20_000, budget),
+        bench_maintain(&bert_tiny, 400, budget),
+    ];
+    eprintln!("maintain passes done");
+    let impute = vec![
+        bench_impute(default_kamel_config().build(), budget),
+        bench_impute(default_kamel_config().engine(bert_tiny).build(), budget),
+    ];
     eprintln!("batch impute done");
     let doc = json!({
         "bench": "bench_parallel",
         "status": status,
         "host_threads": host,
         "thread_budget": budget,
-        "matmul": matmul,
         "maintain": maintain,
         "impute_batch": impute,
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_parallel.json");
-    println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
-    println!("wrote {path}");
+    write_bench_json("BENCH_parallel.json", &doc);
 }

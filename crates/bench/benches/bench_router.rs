@@ -39,7 +39,7 @@ fn env_f64(name: &str, default: f64) -> f64 {
 fn boot_shard(kamel: &Arc<Kamel>) -> Server {
     let engine = Arc::new(ImputeEngine::new(Arc::clone(kamel)));
     let config = ServerConfig {
-        workers: kamel_nn::thread_budget(),
+        workers: kamel::thread_budget(),
         handlers: 16,
         cache_entries: 0,
         deadline: Duration::from_secs(60),
@@ -81,8 +81,8 @@ fn bind_router(addrs: &[SocketAddr], max_connections: usize) -> Router {
 }
 
 fn main() {
-    let host = kamel_nn::available_threads();
-    let budget = kamel_nn::thread_budget();
+    let host = kamel::available_threads();
+    let budget = kamel::thread_budget();
     eprintln!("bench_router: host threads = {host}, budget = {budget}");
     let status = if host > 1 {
         "measured"
@@ -200,9 +200,5 @@ fn main() {
         },
         "connection_sweep": sweep,
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_router.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_router.json");
-    println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
-    println!("wrote {path}");
+    kamel_bench::write_bench_json("BENCH_router.json", &doc);
 }

@@ -41,7 +41,7 @@ fn env_f64(name: &str, default: f64) -> f64 {
 fn boot(kamel: &Arc<Kamel>, cache_entries: usize, max_connections: usize) -> Server {
     let engine = Arc::new(ImputeEngine::new(Arc::clone(kamel)));
     let config = ServerConfig {
-        workers: kamel_nn::thread_budget(),
+        workers: kamel::thread_budget(),
         handlers: 16,
         cache_entries,
         deadline: Duration::from_secs(60),
@@ -71,8 +71,8 @@ fn run_level(
 }
 
 fn main() {
-    let host = kamel_nn::available_threads();
-    let budget = kamel_nn::thread_budget();
+    let host = kamel::available_threads();
+    let budget = kamel::thread_budget();
     eprintln!("bench_serve: host threads = {host}, budget = {budget}");
     let status = if host > 1 {
         "measured"
@@ -140,9 +140,5 @@ fn main() {
         "cache_on": cached,
         "connection_sweep": sweep,
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_serve.json");
-    println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
-    println!("wrote {path}");
+    kamel_bench::write_bench_json("BENCH_serve.json", &doc);
 }

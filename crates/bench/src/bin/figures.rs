@@ -107,12 +107,12 @@ fn main() {
                     "{:<10} {:<12} {:>8.3} {:>8.3} {:>8} | {:>8.3} {:>8.3} {:>8}",
                     r.sparse_m,
                     r.technique,
-                    r.straight.0,
-                    r.straight.1,
-                    fmt_opt(r.straight.2),
-                    r.curved.0,
-                    r.curved.1,
-                    fmt_opt(r.curved.2),
+                    r.straight.recall,
+                    r.straight.precision,
+                    fmt_opt(r.straight.failure_rate),
+                    r.curved.recall,
+                    r.curved.precision,
+                    fmt_opt(r.curved.failure_rate),
                 );
             }
             write_json(&out_dir.join("fig12-road.json"), &rows);
@@ -185,7 +185,7 @@ fn emit_figure_opts(fig: &Figure, out_dir: &Path, svg: bool) {
 }
 
 fn write_json<T: serde::Serialize>(path: &Path, value: &T) {
-    let json = serde_json::to_string_pretty(value).expect("serialize results");
+    let json = serde_json::to_string(value).expect("serialize results");
     std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
 }
 

@@ -18,7 +18,7 @@ use kamel::{GridKind, KamelConfig, KamelConfigBuilder, MultipointStrategy, Speed
 use kamel_baselines::{LinearImputer, MapMatcher, TrajectoryImputer, TrImputeConfig};
 use kamel_eval::harness::{evaluate_technique, format_table, train_kamel, train_trimpute};
 use kamel_eval::roadtype::evaluate_by_road_type;
-use kamel_eval::{EvalContext, TechniqueResult};
+use kamel_eval::{EvalContext, MetricsAccumulator, TechniqueResult};
 use kamel_roadsim::{Dataset, DatasetScale};
 use serde::{Deserialize, Serialize};
 
@@ -55,6 +55,16 @@ impl City {
             City::Jakarta => "jakarta-like",
         }
     }
+}
+
+/// Writes a perf bench's result document to `file` at the repo root and
+/// echoes it on stdout (compact JSON; pipe through `python3 -m json.tool`
+/// to read it).
+pub fn write_bench_json<T: Serialize>(file: &str, doc: &T) {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    let json = serde_json::to_string(doc).expect("serialize");
+    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("{json}\nwrote {path}");
 }
 
 /// Caps evaluation cost: test trajectories scored per configuration point.
@@ -226,10 +236,21 @@ pub struct RoadTypeRow {
     pub sparse_m: f64,
     /// Technique.
     pub technique: String,
-    /// Straight-segment recall/precision/failure.
-    pub straight: (f64, f64, Option<f64>),
-    /// Curved-segment recall/precision/failure.
-    pub curved: (f64, f64, Option<f64>),
+    /// Straight-segment scores.
+    pub straight: RoadScores,
+    /// Curved-segment scores.
+    pub curved: RoadScores,
+}
+
+/// One road class's scores in a [`RoadTypeRow`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RoadScores {
+    /// Recall.
+    pub recall: f64,
+    /// Precision.
+    pub precision: f64,
+    /// Failure rate (`None` when the class had no gaps).
+    pub failure_rate: Option<f64>,
 }
 
 /// Figure 12-I/II: per-road-class performance across sparseness.
@@ -252,15 +273,16 @@ pub fn fig12_road(scale: DatasetScale) -> Vec<RoadTypeRow> {
                 20.0,
                 EVAL_LIMIT,
             );
+            let scores = |m: &MetricsAccumulator| RoadScores {
+                recall: m.recall(),
+                precision: m.precision(),
+                failure_rate: m.failure_rate(),
+            };
             rows.push(RoadTypeRow {
                 sparse_m,
                 technique: t.name().to_string(),
-                straight: (
-                    m.straight.recall(),
-                    m.straight.precision(),
-                    m.straight.failure_rate(),
-                ),
-                curved: (m.curved.recall(), m.curved.precision(), m.curved.failure_rate()),
+                straight: scores(&m.straight),
+                curved: scores(&m.curved),
             });
         }
     }

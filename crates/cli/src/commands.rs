@@ -27,7 +27,14 @@ fn save_trajectories(path: &str, trajs: &[kamel_geo::Trajectory]) -> Result<(), 
     kamel::checkpoint::write_file_atomic(path, &buf).map_err(|e| format!("write {path}: {e}"))
 }
 
-/// Shared KAMEL options exposed on `train`.
+/// The value flags [`config_from_flags`] reads; a command that calls it
+/// declares these beside its own.
+const CONFIG_FLAGS: [&str; 9] = [
+    "--cell-edge-m", "--max-gap-m", "--beam-size", "--pyramid-height", "--pyramid-maintained",
+    "--threshold-k", "--threads", "--grid", "--engine",
+];
+
+/// Shared KAMEL options exposed on `train` and `tune`.
 fn config_from_flags(flags: &Flags) -> Result<KamelConfig, String> {
     let mut builder: KamelConfigBuilder = KamelConfig::builder();
     builder = builder
@@ -63,15 +70,12 @@ fn config_from_flags(flags: &Flags) -> Result<KamelConfig, String> {
 
 /// `kamel generate`: write synthetic train/test CSVs from a dataset preset.
 pub fn generate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel generate --city porto|jakarta [--scale small|medium|large] \
-             --train FILE [--test FILE]"
-        );
+    let help = "kamel generate --city porto|jakarta [--scale small|medium|large] \
+        --train FILE [--test FILE]";
+    let values = ["--city", "--scale", "--train", "--test"];
+    let Some(flags) = Flags::parse("generate", help, &values, &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let scale = match flags.get("--scale").unwrap_or("small") {
         "small" => DatasetScale::Small,
         "medium" => DatasetScale::Medium,
@@ -108,24 +112,24 @@ pub fn generate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// `<model>.progress` record) every `N` trajectories; after a crash,
 /// `--resume` continues from the last checkpoint instead of restarting.
 pub fn train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel train --input FILE --model FILE [--append] [--cell-edge-m N] \
-             [--max-gap-m N] [--beam-size N] [--grid hex|square] \
-             [--engine ngram|bert|bert-tiny] [--pyramid-height N] \
-             [--pyramid-maintained N] [--threshold-k N] [--split-gap-s N] \
-             [--threads N] [--checkpoint-every N] [--resume] \
-             [--stop-after N] [--throttle-ms N]\n\
-             --checkpoint-every N  save the model every N trajectories\n\
-             --resume              continue an interrupted checkpointed run\n\
-             --stop-after N        exit cleanly at the first checkpoint >= N \
-             trajectories (testing hook)\n\
-             --throttle-ms N       sleep N ms after each checkpoint (testing hook)"
-        );
+    let help = "kamel train --input FILE --model FILE [--append] [--cell-edge-m N] \
+        [--max-gap-m N] [--beam-size N] [--grid hex|square] \
+        [--engine ngram|bert|bert-tiny] [--pyramid-height N] \
+        [--pyramid-maintained N] [--threshold-k N] [--split-gap-s N] \
+        [--threads N] [--checkpoint-every N] [--resume] \
+        [--stop-after N] [--throttle-ms N]\n\n\
+        --checkpoint-every N  save the model every N trajectories\n\
+        --resume              continue an interrupted checkpointed run\n\
+        --stop-after N        exit cleanly at the first checkpoint >= N \
+        trajectories (testing hook)\n\
+        --throttle-ms N       sleep N ms after each checkpoint (testing hook)";
+    let own =
+        ["--input", "--model", "--split-gap-s", "--checkpoint-every", "--stop-after", "--throttle-ms"];
+    let values = [&own[..], &CONFIG_FLAGS].concat();
+    let switches = ["--append", "--resume"];
+    let Some(flags) = Flags::parse("train", help, &values, &switches, args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &["--append", "--resume"])?;
+    };
     let input = flags.required("--input")?;
     let model_path = flags.required("--model")?;
     // Read the input once as raw bytes: the digest binds resume to the
@@ -255,14 +259,11 @@ pub fn train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
 /// `kamel impute`: impute a sparse trajectory CSV with a trained model.
 pub fn impute(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel impute --model FILE --input FILE --output FILE [--threads N]"
-        );
+    let help = "kamel impute --model FILE --input FILE --output FILE [--threads N]";
+    let values = ["--model", "--input", "--output", "--threads"];
+    let Some(flags) = Flags::parse("impute", help, &values, &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let threads = flags.get_f64("--threads", 0.0)? as usize;
     if threads > 0 {
         kamel::set_thread_budget(threads);
@@ -292,11 +293,10 @@ pub fn impute(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
 /// `kamel stats`: inspect a trained model file.
 pub fn stats(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(out, "kamel stats --model FILE");
+    let help = "kamel stats --model FILE";
+    let Some(flags) = Flags::parse("stats", help, &["--model"], &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let kamel = Kamel::load_from_file(flags.required("--model")?).map_err(|e| e.to_string())?;
     match kamel.stats() {
         Some(s) => {
@@ -339,15 +339,18 @@ pub fn stats(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
 /// `kamel tune`: the §3.2 cell-size auto-tuner over a training CSV.
 pub fn tune(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel tune --input FILE [--candidates 25,50,75,100,150,200] \
-             [--delta-m N] [--sparse-m N]"
-        );
+    let help = "kamel tune --input FILE [--candidates 25,50,75,100,150,200] \
+        [--delta-m N] [--sparse-m N] [--cell-edge-m N] [--max-gap-m N] \
+        [--beam-size N] [--grid hex|square] [--engine ngram|bert|bert-tiny] \
+        [--pyramid-height N] [--pyramid-maintained N] [--threshold-k N] \
+        [--threads N]\n\n\
+        every candidate overrides --cell-edge-m; the other model options \
+        apply to each candidate as in `kamel train`";
+    let own = ["--input", "--candidates", "--delta-m", "--sparse-m"];
+    let values = [&own[..], &CONFIG_FLAGS].concat();
+    let Some(flags) = Flags::parse("tune", help, &values, &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let trajectories = open_trajectories(flags.required("--input")?)?;
     let candidates: Vec<f64> = match flags.get("--candidates") {
         None => vec![25.0, 50.0, 75.0, 100.0, 150.0, 200.0],
@@ -386,11 +389,10 @@ pub fn tune(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// `kamel export`: convert a trajectory CSV to GeoJSON for visual
 /// inspection (QGIS, geojson.io, Kepler).
 pub fn export(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(out, "kamel export --input FILE.csv --output FILE.geojson");
+    let help = "kamel export --input FILE.csv --output FILE.geojson";
+    let Some(flags) = Flags::parse("export", help, &["--input", "--output"], &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let trajectories = open_trajectories(flags.required("--input")?)?;
     let doc = kamel_roadsim::trajectories_to_geojson(&trajectories);
     let output = flags.required("--output")?;
@@ -429,18 +431,14 @@ fn parse_byte_size(s: &str) -> Result<u64, String> {
 /// `kamel pack`: render a trained checkpoint into a `.kstore` model
 /// store file (DESIGN.md §13) for `kamel serve --store`.
 pub fn pack(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel pack --model FILE --out FILE.kstore\n\
-             packs a trained checkpoint into a single mmap-ready model store:\n\
-             a CRC-checked index over per-cell records (serialized model +\n\
-             packed int8 weights when the checkpointed system is quantized)\n\
-             that `kamel serve --store` maps and materializes lazily"
-        );
+    let help = "kamel pack --model FILE --out FILE.kstore\n\n\
+        packs a trained checkpoint into a single mmap-ready model store:\n\
+        a CRC-checked index over per-cell records (serialized model +\n\
+        packed int8 weights when the checkpointed system is quantized)\n\
+        that `kamel serve --store` maps and materializes lazily";
+    let Some(flags) = Flags::parse("pack", help, &["--model", "--out"], &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let model_path = flags.required("--model")?;
     let out_path = flags.required("--out")?;
     let kamel = Kamel::load_from_file(model_path).map_err(|e| e.to_string())?;
@@ -464,50 +462,55 @@ pub fn pack(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// `POST /admin/reload`) re-reads `--model` and hot-swaps it without
 /// dropping connections.
 pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel serve (--model FILE | --store FILE.kstore) [--addr HOST:PORT]\n\
-             \x20           [--model-memory-budget BYTES] [--threads N] [--batch-max N]\n\
-             \x20           [--batch-wait-us N] [--cache-entries N] [--queue-cap N]\n\
-             \x20           [--deadline-ms N] [--shard-id N --shard-of N] [--quantize]\n\
-             \x20           [--degraded-mode] [--max-connections N] [--idle-timeout-ms N]\n\
-             \x20           [--learn] [--learn-dir DIR] [--learn-interval-secs N]\n\
-             \x20           [--learn-batch-min N] [--learn-cells N] [--learn-gate-epsilon E]\n\
-             \x20           [--learn-gate-delta-m D] [--learn-min-confidence C]\n\
-             \x20           [--learn-queue-cap N] [--learn-max-bytes BYTES] [--capture-only]\n\
-             serves POST /v1/impute, POST /admin/reload, GET /healthz, GET /metrics,\n\
-             GET /v1/info until SIGTERM/ctrl-c; SIGHUP hot-reloads the model from\n\
-             --model (or remaps --store, picking up a re-packed file);\n\
-             --store serves a `kamel pack` model store via mmap, materializing\n\
-             models lazily under --model-memory-budget (e.g. 512k, 64m, 2g;\n\
-             default: the packed config's budget, else unbounded);\n\
-             --shard-id/--shard-of label this process as member N of a\n\
-             fleet of M behind `kamel route` (advertised on /v1/info); --quantize\n\
-             serves BERT models through int8 weights when the accuracy gate passes\n\
-             (startup fails when it does not; a store instead serves whatever\n\
-             quantization state it was packed with); --degraded-mode answers\n\
-             from the linear baseline (marked \"degraded\": true) instead of 503\n\
-             when the admission queue is full; --max-connections caps concurrent\n\
-             sockets (excess accepts get 503) and --idle-timeout-ms closes idle\n\
-             or slow-loris keep-alive connections;\n\
-             --learn (requires --model) tees served answers and POST /v1/feedback\n\
-             corrections into a crash-safe capture log under --learn-dir\n\
-             (default MODEL.capture) and runs the background cell trainer\n\
-             in-process: every --learn-interval-secs it retrains the neediest\n\
-             cells (at most --learn-cells) from captured feedback, replays a\n\
-             held-out set, and rolls the new checkpoint out through the\n\
-             /admin/reload path only when the replay score holds within\n\
-             --learn-gate-epsilon — a failing gate keeps the old generation;\n\
-             --capture-only captures without training, for a separate\n\
-             `kamel learn` process draining the same directory"
-        );
+    let help = "kamel serve (--model FILE | --store FILE.kstore) [--addr HOST:PORT]\n\
+        \x20           [--model-memory-budget BYTES] [--threads N] [--batch-max N]\n\
+        \x20           [--batch-wait-us N] [--cache-entries N] [--queue-cap N]\n\
+        \x20           [--deadline-ms N] [--shard-id N --shard-of N] [--quantize]\n\
+        \x20           [--degraded-mode] [--max-connections N] [--idle-timeout-ms N]\n\
+        \x20           [--learn] [--learn-dir DIR] [--learn-interval-secs N]\n\
+        \x20           [--learn-batch-min N] [--learn-cells N] [--learn-gate-epsilon E]\n\
+        \x20           [--learn-gate-delta-m D] [--learn-min-confidence C]\n\
+        \x20           [--learn-queue-cap N] [--learn-max-bytes BYTES] [--capture-only]\n\n\
+        serves POST /v1/impute, POST /admin/reload, GET /healthz, GET /metrics,\n\
+        GET /v1/info until SIGTERM/ctrl-c; SIGHUP hot-reloads the model from\n\
+        --model (or remaps --store, picking up a re-packed file);\n\
+        --store serves a `kamel pack` model store via mmap, materializing\n\
+        models lazily under --model-memory-budget (e.g. 512k, 64m, 2g;\n\
+        default: the packed config's budget, else unbounded);\n\
+        --shard-id/--shard-of label this process as member N of a\n\
+        fleet of M behind `kamel route` (advertised on /v1/info); --quantize\n\
+        serves BERT models through int8 weights when the accuracy gate passes\n\
+        (startup fails when it does not; a store instead serves whatever\n\
+        quantization state it was packed with); --degraded-mode answers\n\
+        from the linear baseline (marked \"degraded\": true) instead of 503\n\
+        when the admission queue is full; --max-connections caps concurrent\n\
+        sockets (excess accepts get 503) and --idle-timeout-ms closes idle\n\
+        or slow-loris keep-alive connections;\n\
+        --learn (requires --model) tees served answers and POST /v1/feedback\n\
+        corrections into a crash-safe capture log under --learn-dir\n\
+        (default MODEL.capture) and runs the background cell trainer\n\
+        in-process: every --learn-interval-secs it retrains the neediest\n\
+        cells (at most --learn-cells) from captured feedback, replays a\n\
+        held-out set, and rolls the new checkpoint out through the\n\
+        /admin/reload path only when the replay score holds within\n\
+        --learn-gate-epsilon — a failing gate keeps the old generation;\n\
+        --capture-only captures without training, for a separate\n\
+        `kamel learn` process draining the same directory";
+    let learn_values = [
+        "--learn-dir", "--learn-interval-secs", "--learn-batch-min", "--learn-cells",
+        "--learn-gate-epsilon", "--learn-gate-delta-m", "--learn-min-confidence",
+        "--learn-queue-cap", "--learn-max-bytes",
+    ];
+    let own = [
+        "--model", "--store", "--addr", "--model-memory-budget", "--threads", "--batch-max",
+        "--batch-wait-us", "--cache-entries", "--queue-cap", "--deadline-ms", "--shard-id",
+        "--shard-of", "--max-connections", "--idle-timeout-ms",
+    ];
+    let values = [&own[..], &learn_values].concat();
+    let switches = ["--quantize", "--degraded-mode", "--learn", "--capture-only"];
+    let Some(flags) = Flags::parse("serve", help, &values, &switches, args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(
-        args,
-        &["--quantize", "--degraded-mode", "--learn", "--capture-only"],
-    )?;
+    };
     let budget = flags
         .get("--model-memory-budget")
         .map(parse_byte_size)
@@ -554,17 +557,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         return Err("--capture-only requires --learn".into());
     }
     if !learn {
-        for key in [
-            "--learn-dir",
-            "--learn-interval-secs",
-            "--learn-batch-min",
-            "--learn-cells",
-            "--learn-gate-epsilon",
-            "--learn-gate-delta-m",
-            "--learn-min-confidence",
-            "--learn-queue-cap",
-            "--learn-max-bytes",
-        ] {
+        for key in learn_values {
             if flags.get(key).is_some() {
                 return Err(format!("`{key}` requires --learn"));
             }
@@ -830,26 +823,26 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// the server to hot-reload. Runs until SIGINT/SIGTERM, or one pass with
 /// `--once`.
 pub fn learn(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel learn --model FILE --capture-dir DIR [--interval-secs N]\n\
-             \x20           [--batch-min N] [--cells N] [--gate-epsilon E]\n\
-             \x20           [--gate-delta-m D] [--min-confidence C]\n\
-             \x20           [--reload HOST:PORT] [--once]\n\
-             drains sealed capture segments written by `kamel serve --learn\n\
-             --capture-only` under --capture-dir, retrains the --cells neediest\n\
-             pyramid cells of --model from captured feedback (plus confident\n\
-             served answers as pseudo-labels, >= --min-confidence), and replays\n\
-             a held-out set: only when the new score holds within --gate-epsilon\n\
-             of the old one is the checkpoint saved over --model and the serving\n\
-             process asked to hot-reload via POST /admin/reload on --reload;\n\
-             a failing gate discards the candidate and the old generation keeps\n\
-             serving. --once runs a single drain+retrain pass and exits (CI)"
-        );
+    let help = "kamel learn --model FILE --capture-dir DIR [--interval-secs N]\n\
+        \x20           [--batch-min N] [--cells N] [--gate-epsilon E]\n\
+        \x20           [--gate-delta-m D] [--min-confidence C]\n\
+        \x20           [--reload HOST:PORT] [--once]\n\n\
+        drains sealed capture segments written by `kamel serve --learn\n\
+        --capture-only` under --capture-dir, retrains the --cells neediest\n\
+        pyramid cells of --model from captured feedback (plus confident\n\
+        served answers as pseudo-labels, >= --min-confidence), and replays\n\
+        a held-out set: only when the new score holds within --gate-epsilon\n\
+        of the old one is the checkpoint saved over --model and the serving\n\
+        process asked to hot-reload via POST /admin/reload on --reload;\n\
+        a failing gate discards the candidate and the old generation keeps\n\
+        serving. --once runs a single drain+retrain pass and exits (CI)";
+    let values = [
+        "--model", "--capture-dir", "--interval-secs", "--batch-min", "--cells",
+        "--gate-epsilon", "--gate-delta-m", "--min-confidence", "--reload",
+    ];
+    let Some(flags) = Flags::parse("learn", help, &values, &["--once"], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &["--once"])?;
+    };
     let model_path = std::path::PathBuf::from(flags.required("--model")?);
     let capture_dir = std::path::PathBuf::from(flags.required("--capture-dir")?);
     let cfg = kamel_learn::TrainerConfig {
@@ -985,32 +978,34 @@ pub fn learn(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// and scatter-gathers trajectories that span territories. Runs until
 /// SIGINT or SIGTERM, then drains in-flight requests.
 pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel route (--shard HOST:PORT,... | --shard-map FILE) [--addr HOST:PORT]\n\
-             \x20           [--cell-deg D] [--eject-after N] [--probe-interval-ms N]\n\
-             \x20           [--timeout-ms N] [--handlers N] [--default-deadline-ms N]\n\
-             \x20           [--breaker-window N] [--breaker-threshold R]\n\
-             \x20           [--breaker-open-ms N] [--degraded-mode]\n\
-             \x20           [--degraded-max-gap-m M] [--max-connections N]\n\
-             \x20           [--idle-timeout-ms N]\n\
-             serves POST /v1/impute (proxied), GET /healthz, GET /metrics,\n\
-             GET /v1/shards until SIGTERM/ctrl-c; --cell-deg sets the routing\n\
-             grid for --shard fleets (a --shard-map file carries its own);\n\
-             --default-deadline-ms is the budget granted to requests without an\n\
-             x-kamel-deadline-ms header; the breaker trips a shard open when\n\
-             --breaker-threshold (ratio) of the last --breaker-window forwards\n\
-             failed, refusing it for --breaker-open-ms before probing;\n\
-             --degraded-mode answers requests no shard can serve from the\n\
-             linear baseline (marked \"degraded\": true) instead of 502/503;\n\
-             --max-connections caps concurrent client sockets (excess accepts\n\
-             get 503) and --idle-timeout-ms closes idle/slow-loris keep-alive\n\
-             connections"
-        );
+    let help = "kamel route (--shard HOST:PORT,... | --shard-map FILE) [--addr HOST:PORT]\n\
+        \x20           [--cell-deg D] [--eject-after N] [--probe-interval-ms N]\n\
+        \x20           [--timeout-ms N] [--handlers N] [--default-deadline-ms N]\n\
+        \x20           [--breaker-window N] [--breaker-threshold R]\n\
+        \x20           [--breaker-open-ms N] [--degraded-mode]\n\
+        \x20           [--degraded-max-gap-m M] [--max-connections N]\n\
+        \x20           [--idle-timeout-ms N]\n\n\
+        serves POST /v1/impute (proxied), GET /healthz, GET /metrics,\n\
+        GET /v1/shards until SIGTERM/ctrl-c; --cell-deg sets the routing\n\
+        grid for --shard fleets (a --shard-map file carries its own);\n\
+        --default-deadline-ms is the budget granted to requests without an\n\
+        x-kamel-deadline-ms header; the breaker trips a shard open when\n\
+        --breaker-threshold (ratio) of the last --breaker-window forwards\n\
+        failed, refusing it for --breaker-open-ms before probing;\n\
+        --degraded-mode answers requests no shard can serve from the\n\
+        linear baseline (marked \"degraded\": true) instead of 502/503;\n\
+        --max-connections caps concurrent client sockets (excess accepts\n\
+        get 503) and --idle-timeout-ms closes idle/slow-loris keep-alive\n\
+        connections";
+    let values = [
+        "--shard", "--shard-map", "--addr", "--cell-deg", "--eject-after",
+        "--probe-interval-ms", "--timeout-ms", "--handlers", "--default-deadline-ms",
+        "--breaker-window", "--breaker-threshold", "--breaker-open-ms", "--degraded-max-gap-m",
+        "--max-connections", "--idle-timeout-ms",
+    ];
+    let Some(flags) = Flags::parse("route", help, &values, &["--degraded-mode"], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &["--degraded-mode"])?;
+    };
     let map = match (flags.get("--shard-map"), flags.get("--shard")) {
         (Some(path), None) => kamel_router::ShardMap::from_json_file(Path::new(path))?,
         (None, Some(list)) => {
@@ -1088,22 +1083,20 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// faithful relay — from a seeded or scripted schedule that is a pure
 /// function of the connection index, so a run replays exactly.
 pub fn chaos(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel chaos --upstream HOST:PORT (--seed N | --script LIST)\n\
-             \x20           [--listen HOST:PORT] [--stall-ms N] [--trickle-ms N]\n\
-             \x20           [--torn-after N]\n\
-             proxies TCP to --upstream, injecting one fault per accepted\n\
-             connection until SIGTERM/ctrl-c; --seed derives the fault\n\
-             sequence from a hash of the connection index, --script walks an\n\
-             explicit comma-separated list (e.g. `refuse*3,none,torn`; the\n\
-             last entry repeats forever); faults: none, refuse, stall,\n\
-             slow-loris, reset, torn"
-        );
+    let help = "kamel chaos --upstream HOST:PORT (--seed N | --script LIST)\n\
+        \x20           [--listen HOST:PORT] [--stall-ms N] [--trickle-ms N]\n\
+        \x20           [--torn-after N]\n\n\
+        proxies TCP to --upstream, injecting one fault per accepted\n\
+        connection until SIGTERM/ctrl-c; --seed derives the fault\n\
+        sequence from a hash of the connection index, --script walks an\n\
+        explicit comma-separated list (e.g. `refuse*3,none,torn`; the\n\
+        last entry repeats forever); faults: none, refuse, stall,\n\
+        slow-loris, reset, torn";
+    let values =
+        ["--upstream", "--seed", "--script", "--listen", "--stall-ms", "--trickle-ms", "--torn-after"];
+    let Some(flags) = Flags::parse("chaos", help, &values, &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let upstream = flags.required("--upstream")?;
     let upstream: std::net::SocketAddr = {
         use std::net::ToSocketAddrs;
@@ -1159,20 +1152,17 @@ pub fn chaos(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// byte-identical — the reactor must hold the whole wall open on its
 /// fixed worker pool, not serve them one at a time.
 pub fn c10k(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel c10k --addr HOST:PORT [--connections N] [--fixture FILE]\n\
-             \x20          [--timeout-ms N] [--gauge-wait-ms N]\n\
-             opens N keep-alive connections (default 1000), waits until the\n\
-             target's /metrics kamel_connections_active gauge counts them all,\n\
-             then POSTs the --fixture trajectory JSON (default: GET /healthz)\n\
-             down every connection and fails unless every response is\n\
-             byte-identical; exits nonzero on any shortfall"
-        );
+    let help = "kamel c10k --addr HOST:PORT [--connections N] [--fixture FILE]\n\
+        \x20          [--timeout-ms N] [--gauge-wait-ms N]\n\n\
+        opens N keep-alive connections (default 1000), waits until the\n\
+        target's /metrics kamel_connections_active gauge counts them all,\n\
+        then POSTs the --fixture trajectory JSON (default: GET /healthz)\n\
+        down every connection and fails unless every response is\n\
+        byte-identical; exits nonzero on any shortfall";
+    let values = ["--addr", "--connections", "--fixture", "--timeout-ms", "--gauge-wait-ms"];
+    let Some(flags) = Flags::parse("c10k", help, &values, &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let addr = flags.required("--addr")?;
     let target: std::net::SocketAddr = {
         use std::net::ToSocketAddrs;
@@ -1273,15 +1263,12 @@ pub fn c10k(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
 /// `kamel evaluate`: the §8 metrics of a model against ground truth.
 pub fn evaluate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    if args.iter().any(|a| a == "--help") {
-        let _ = writeln!(
-            out,
-            "kamel evaluate --model FILE --truth FILE [--sparse-m N] [--delta-m N] \
-             [--max-gap-m N] [--limit N]"
-        );
+    let help = "kamel evaluate --model FILE --truth FILE [--sparse-m N] [--delta-m N] \
+        [--max-gap-m N] [--limit N]";
+    let values = ["--model", "--truth", "--sparse-m", "--delta-m", "--max-gap-m", "--limit"];
+    let Some(flags) = Flags::parse("evaluate", help, &values, &[], args, out)? else {
         return Ok(());
-    }
-    let flags = Flags::parse(args, &[])?;
+    };
     let kamel = Kamel::load_from_file(flags.required("--model")?).map_err(|e| e.to_string())?;
     let truth = open_trajectories(flags.required("--truth")?)?;
     if truth.is_empty() {
@@ -1330,6 +1317,45 @@ mod tests {
         assert!(parse_byte_size("").is_err());
         assert!(parse_byte_size("-1").is_err());
         assert!(parse_byte_size("99999999999g").is_err(), "shifted-out bits must not wrap");
+    }
+
+    /// `train` and `tune` build their config through `config_from_flags`,
+    /// so both accept every flag it reads.
+    #[test]
+    fn config_flags_are_accepted_wherever_the_config_is_read() {
+        for command in [train, tune] {
+            for flag in CONFIG_FLAGS {
+                let err = command(&argv(&[flag, "1"]), &mut Vec::new()).expect_err("no --input");
+                assert!(err.contains("--input"), "{flag}: {err}");
+            }
+        }
+    }
+
+    /// `tune` end to end with model options set (debug builds also assert
+    /// that every flag read on the way was declared).
+    #[test]
+    fn tune_reads_the_shared_config_flags() {
+        let csv = std::env::temp_dir().join(format!("kamel-tune-{}.csv", std::process::id()));
+        let mut rows = String::from("traj_id,lat,lng,t\n");
+        for traj in 0..10 {
+            for step in 0..30 {
+                let lng = -8.61 + 0.0003 * step as f64;
+                rows.push_str(&format!("{traj},41.15,{lng},{}\n", step * 10));
+            }
+        }
+        std::fs::write(&csv, rows).unwrap();
+        let mut buf = Vec::new();
+        let result = tune(
+            &argv(&[
+                "--input", csv.to_str().unwrap(), "--candidates", "75,150", "--sparse-m", "200",
+                "--threshold-k", "150", "--threads", "1", "--grid", "square",
+            ]),
+            &mut buf,
+        );
+        std::fs::remove_file(&csv).ok();
+        let out = String::from_utf8(buf).unwrap();
+        result.unwrap_or_else(|e| panic!("{e}\n{out}"));
+        assert!(out.contains("best hexagon edge"), "{out}");
     }
 
     #[test]

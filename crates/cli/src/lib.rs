@@ -70,12 +70,37 @@ pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
 }
 
 /// Minimal flag parser: `--key value` pairs plus boolean `--key` switches.
+///
+/// Each command declares the value flags and switches it reads; any other
+/// `--key` is an error, so a typo (`--thread 1`) never silently runs with
+/// the defaults.
 pub(crate) struct Flags<'a> {
     pairs: Vec<(&'a str, Option<&'a str>)>,
+    /// Every flag the command declared, for the read-side check in `get`.
+    declared: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
-    pub(crate) fn parse(args: &'a [String], switches: &[&str]) -> Result<Self, String> {
+    /// Parses `args` for `kamel <command>`, which reads exactly the flags in
+    /// `values` (each followed by a value) and `switches` (bare); `Ok(None)`
+    /// means `--help` was asked for and has been printed to `out`.
+    pub(crate) fn parse(
+        command: &str,
+        help: &str,
+        values: &[&'a str],
+        switches: &[&'a str],
+        args: &'a [String],
+        out: &mut dyn Write,
+    ) -> Result<Option<Self>, String> {
+        let declared = [values, switches].concat();
+        debug_assert!(
+            declared.iter().all(|flag| help.contains(flag)),
+            "kamel {command}: a declared flag is missing from its --help"
+        );
+        if args.iter().any(|a| a == "--help") {
+            let _ = writeln!(out, "{help}");
+            return Ok(None);
+        }
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
@@ -86,18 +111,21 @@ impl<'a> Flags<'a> {
             if switches.contains(&key) {
                 pairs.push((key, None));
                 i += 1;
-            } else {
+            } else if values.contains(&key) {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("flag `{key}` needs a value"))?;
                 pairs.push((key, Some(value.as_str())));
                 i += 2;
+            } else {
+                return Err(format!("unknown flag `{key}` for `kamel {command}`"));
             }
         }
-        Ok(Self { pairs })
+        Ok(Some(Self { pairs, declared }))
     }
 
     pub(crate) fn get(&self, key: &str) -> Option<&'a str> {
+        self.check_declared(key);
         self.pairs
             .iter()
             .find(|(k, _)| *k == key)
@@ -105,7 +133,14 @@ impl<'a> Flags<'a> {
     }
 
     pub(crate) fn has(&self, key: &str) -> bool {
+        self.check_declared(key);
         self.pairs.iter().any(|(k, _)| *k == key)
+    }
+
+    /// A command that reads a flag it did not declare could never be given
+    /// it; debug builds (the test suites) catch that at the read.
+    fn check_declared(&self, key: &str) {
+        debug_assert!(self.declared.contains(&key), "flag `{key}` is read but not declared");
     }
 
     pub(crate) fn required(&self, key: &str) -> Result<&'a str, String> {
@@ -154,13 +189,66 @@ mod tests {
         assert!(out.contains("generate"));
     }
 
+    const COMMANDS: [&str; 13] = [
+        "generate", "train", "tune", "impute", "pack", "serve", "learn", "route", "chaos", "c10k",
+        "stats", "evaluate", "export",
+    ];
+
+    /// A typo never silently runs with defaults: every command rejects a
+    /// flag it does not declare, before doing anything else.
+    #[test]
+    fn every_command_rejects_unknown_flags() {
+        for command in COMMANDS {
+            let (code, out) = run_capture(&[command, "--no-such-flag", "1"]);
+            assert_eq!(code, 1, "{command}: {out}");
+            let expected = format!("unknown flag `--no-such-flag` for `kamel {command}`");
+            assert!(out.contains(&expected), "{command}: {out}");
+        }
+        // A prefix of a real flag is still a typo.
+        let (_, out) = run_capture(&["train", "--thread", "1"]);
+        assert!(out.contains("unknown flag `--thread` for `kamel train`"), "{out}");
+    }
+
+    /// Every flag a command's `--help` synopsis names is accepted: given
+    /// alone it fails on something else (a missing or malformed flag), never
+    /// as unknown.
+    #[test]
+    fn every_flag_in_help_is_accepted() {
+        for command in COMMANDS {
+            let (code, help) = run_capture(&[command, "--help"]);
+            assert_eq!(code, 0, "{command}: {help}");
+            let synopsis = help.split("\n\n").next().unwrap();
+            let named: Vec<&str> = synopsis
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|token| token.starts_with("--"))
+                .collect();
+            assert!(!named.is_empty(), "{command} names no flag: {help}");
+            for flag in named {
+                let (code, out) = run_capture(&[command, flag, "x"]);
+                assert_eq!(code, 1, "{command} {flag}: {out}");
+                assert!(!out.contains("unknown flag"), "{command} {flag}: {out}");
+            }
+        }
+    }
+
+    fn parse(args: &[String]) -> Result<Option<Flags<'_>>, String> {
+        Flags::parse(
+            "test",
+            "kamel test --a N [--flag] --b X [--missing X] [--absent N]",
+            &["--a", "--b", "--missing", "--absent"],
+            &["--flag"],
+            args,
+            &mut Vec::new(),
+        )
+    }
+
     #[test]
     fn flags_parsing() {
         let args: Vec<String> = ["--a", "1", "--flag", "--b", "x"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = Flags::parse(&args, &["--flag"]).unwrap();
+        let f = parse(&args).unwrap().unwrap();
         assert_eq!(f.get("--a"), Some("1"));
         assert!(f.has("--flag"));
         assert_eq!(f.required("--b").unwrap(), "x");
@@ -173,6 +261,6 @@ mod tests {
     #[test]
     fn flags_reject_positional() {
         let args: Vec<String> = vec!["oops".to_string()];
-        assert!(Flags::parse(&args, &[]).is_err());
+        assert!(parse(&args).is_err());
     }
 }

@@ -19,10 +19,6 @@
 //!    loader falls back to it — with a loud warning — whenever the live
 //!    file is missing or fails validation.
 //!
-//! Legacy bare-JSON model files (everything this repo wrote before the
-//! envelope existed) do not start with the magic and are loaded as-is for
-//! backward compatibility.
-//!
 //! The write path is factored over a tiny I/O shim ([`CkptIo`]) so tests
 //! can deterministically inject short writes, `ENOSPC`, and crashes
 //! between the rename steps; the fault implementations are compiled in
@@ -86,6 +82,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Why a byte buffer failed to decode as a checkpoint envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
+    /// Does not start with [`MAGIC`]: not a checkpoint, or one whose
+    /// first bytes are damaged.
+    BadMagic,
     /// Shorter than a full header despite starting with the magic.
     TruncatedHeader,
     /// The envelope claims a format version this build does not know.
@@ -109,6 +108,7 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DecodeError::BadMagic => write!(f, "not a checkpoint: magic bytes missing"),
             DecodeError::TruncatedHeader => write!(f, "checkpoint header is truncated"),
             DecodeError::UnknownVersion(v) => {
                 write!(f, "checkpoint format version {v} is newer than this build understands")
@@ -136,12 +136,10 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes an enveloped checkpoint back to its payload, validating magic,
-/// version, length, and checksum. Buffers that do not start with the magic
-/// are legacy bare payloads (pre-envelope model files) and are returned
-/// whole.
+/// version, length, and checksum.
 pub fn decode(bytes: &[u8]) -> Result<&[u8], DecodeError> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Ok(bytes); // legacy bare-JSON checkpoint
+    if !bytes.starts_with(MAGIC) {
+        return Err(DecodeError::BadMagic);
     }
     if bytes.len() < HEADER_LEN {
         return Err(DecodeError::TruncatedHeader);
@@ -539,18 +537,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_json_passes_through() {
-        let legacy = b"{\"config\":{},\"state\":null}";
-        assert_eq!(decode(legacy).unwrap(), legacy);
-        // Short non-magic buffers are legacy too (they will fail JSON
-        // parsing later, which the loader converts into a .bak fallback).
-        assert_eq!(decode(b"{").unwrap(), b"{");
-        assert_eq!(decode(b"").unwrap(), b"");
-    }
-
-    #[test]
     fn decode_rejects_every_corruption_class() {
         let wire = encode(b"payload-bytes");
+        // Missing or damaged magic, bare JSON included: no passthrough.
+        let mut no_magic = wire.clone();
+        no_magic[0] ^= 0x01;
+        for bytes in [&no_magic[..], b"{\"config\":{},\"state\":null}", b"KAMEL", b""] {
+            assert_eq!(decode(bytes), Err(DecodeError::BadMagic));
+        }
         // Truncated header.
         assert_eq!(decode(&wire[..10]), Err(DecodeError::TruncatedHeader));
         // Unknown future version.
@@ -675,16 +669,13 @@ mod tests {
 
     /// Bit-flip corruption after a *successful* save: the flip lands on
     /// the live file, so recovery must hand back the previous checkpoint
-    /// from the rotation. (A flip inside the magic itself demotes the file
-    /// to a "legacy" payload at this layer; the model loader catches that
-    /// class when the payload fails to parse as JSON — covered by the
-    /// pipeline-level recovery tests.)
+    /// from the rotation.
     #[test]
     fn post_save_bit_flip_recovers_previous_checkpoint() {
         let wire_len = encode(b"NEW").len();
-        // One offset in each validated region: version, length, recorded
-        // CRC, first payload byte, last payload byte.
-        for offset in [8usize, 12, 20, HEADER_LEN, wire_len - 1] {
+        // One offset in each validated region: magic, version, length,
+        // recorded CRC, first payload byte, last payload byte.
+        for offset in [0usize, 8, 12, 20, HEADER_LEN, wire_len - 1] {
             let dir = tempdir(&format!("bitflip_{offset}"));
             let path = dir.join("model.ckpt");
             save_checkpoint(&path, b"OLD").unwrap();

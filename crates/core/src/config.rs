@@ -119,11 +119,10 @@ pub struct KamelConfig {
     pub disable_partitioning: bool,
     /// Ablation switch (§8.7 "No Const."): accept every model prediction.
     pub disable_constraints: bool,
-    /// Process-wide worker-thread budget for the parallel execution layer
-    /// (matmul kernels, per-cell maintenance, batch imputation). `None`
-    /// resolves via the `KAMEL_THREADS` env var, then
-    /// `available_parallelism()`. Only execution speed changes — every
-    /// parallel path is bit-identical to its sequential counterpart.
+    /// Process-wide budget of outer workers (per-cell maintenance, batch
+    /// imputation). `None` resolves via the `KAMEL_THREADS` env var, then
+    /// `available_parallelism()`. Only execution speed changes — both
+    /// tiers are bit-identical to their sequential counterparts.
     #[serde(default)]
     pub threads: Option<usize>,
     /// Serve BERT models through the int8 weight-quantized path. Enabling
@@ -243,7 +242,7 @@ impl KamelConfig {
     /// budget (env var or hardware parallelism).
     pub fn effective_threads(&self) -> usize {
         self.threads
-            .unwrap_or_else(kamel_nn::thread_budget)
+            .unwrap_or_else(crate::threads::thread_budget)
             .max(1)
     }
 }
@@ -409,6 +408,17 @@ mod tests {
         assert!(back.validate().is_ok());
     }
 
+    /// The default configuration as persisted before `threads`, `quantize`,
+    /// `quantize_min_agreement` and `model_memory_budget` existed.
+    const PRE_KNOB_CONFIG: &str = r#"{"grid":"Hex","cell_edge_m":75.0,"max_gap_m":100.0,
+        "beam_size":10,"length_norm_alpha":1.0,"multipoint":"Beam","top_k":10,
+        "max_model_calls":1500,"direction_cone_deg":45.0,"cycle_window":6,"speed_slack":1.5,
+        "speed_mode":"FixedFromTraining","pyramid_height":3,"pyramid_maintained":3,
+        "model_threshold_k":500,"engine":{"Ngram":{"tri_weight":0.4,"between_weight":0.32,
+        "fwd_weight":0.11,"bwd_weight":0.11,"uni_weight":0.06,"between_window":24,
+        "prune_below":0}},"detok":{"eps_xy_m":25.0,"eps_heading_deg":30.0,"min_pts":4},
+        "disable_partitioning":false,"disable_constraints":false}"#;
+
     #[test]
     fn threads_knob_validates_and_resolves() {
         assert!(KamelConfig::builder().threads(Some(0)).try_build().is_err());
@@ -417,10 +427,7 @@ mod tests {
         // None resolves to the process-wide budget (always ≥ 1).
         assert!(KamelConfig::default().effective_threads() >= 1);
         // Configs persisted before the knob existed still deserialize.
-        let mut v: serde_json::Value =
-            serde_json::to_value(KamelConfig::default()).expect("serialize");
-        v.as_object_mut().unwrap().remove("threads");
-        let back: KamelConfig = serde_json::from_value(v).expect("deserialize");
+        let back: KamelConfig = serde_json::from_str(PRE_KNOB_CONFIG).expect("deserialize");
         assert_eq!(back.threads, None);
     }
 
@@ -443,12 +450,7 @@ mod tests {
             .build();
         assert!(c.quantize);
         // Configs persisted before the knobs existed still deserialize.
-        let mut v: serde_json::Value =
-            serde_json::to_value(KamelConfig::default()).expect("serialize");
-        let obj = v.as_object_mut().unwrap();
-        obj.remove("quantize");
-        obj.remove("quantize_min_agreement");
-        let back: KamelConfig = serde_json::from_value(v).expect("deserialize");
+        let back: KamelConfig = serde_json::from_str(PRE_KNOB_CONFIG).expect("deserialize");
         assert!(!back.quantize);
         assert_eq!(back.quantize_min_agreement, 0.98);
     }

@@ -61,12 +61,14 @@ pub mod partition;
 pub mod pipeline;
 pub mod routing;
 pub mod source;
+pub mod threads;
 pub mod tokenize;
 
 pub use config::{GridKind, KamelConfig, KamelConfigBuilder, MultipointStrategy, SpeedMode};
 pub use error::KamelError;
 pub use impute::SegmentOutcome;
-pub use kamel_nn::{active_isa, available_threads, set_thread_budget, thread_budget};
+pub use kamel_nn::active_isa;
 pub use pipeline::{replay_recall, ExportedModel, ImputedTrajectory, Kamel, KamelStats};
 pub use source::{ModelHandle, ModelSource, ResidencyStats};
+pub use threads::{available_threads, set_thread_budget, thread_budget};
 pub use tokenize::Tokenizer;

@@ -345,7 +345,7 @@ impl Repository {
     ///
     /// Returns the number of models built or refreshed.
     pub fn maintain(&mut self, store: &TrajStore, dirty: &BBox, engine: &EngineConfig) -> usize {
-        self.maintain_with_threads(store, dirty, engine, kamel_nn::thread_budget())
+        self.maintain_with_threads(store, dirty, engine, crate::threads::thread_budget())
     }
 
     /// [`Repository::maintain`] with an explicit worker-thread count.
@@ -654,6 +654,8 @@ mod tests {
     use kamel_hexgrid::CellId;
     use kamel_trajstore::TokenTrajectory;
 
+    include!("../../../tests/common/canonical_json.rs");
+
     fn config() -> KamelConfig {
         KamelConfig::builder()
             .pyramid_height(3)
@@ -882,9 +884,9 @@ mod tests {
         let mut par = Repository::new(root(), &cfg);
         par.maintain_with_threads(&store, &root(), &EngineConfig::default(), 4);
         assert!(seq.model_count() > 1, "want a multi-model pyramid");
-        assert_eq!(
-            serde_json::to_string(&seq).unwrap(),
-            serde_json::to_string(&par).unwrap(),
+        let state = |repo: &Repository| canonical_json(&serde_json::to_string(repo).unwrap());
+        assert!(
+            state(&seq) == state(&par),
             "repository state must not depend on the worker count"
         );
     }

@@ -143,7 +143,7 @@ impl Kamel {
     pub fn new(config: KamelConfig) -> Self {
         config.validate().expect("invalid KAMEL configuration");
         if let Some(n) = config.threads {
-            kamel_nn::set_thread_budget(n);
+            crate::threads::set_thread_budget(n);
         }
         Self {
             config,
@@ -706,11 +706,10 @@ impl Kamel {
     /// Restores a system persisted with [`Kamel::save_to_file`].
     ///
     /// Loads the checkpoint at `path`, validating its envelope (magic,
-    /// version, length, CRC32C); legacy bare-JSON model files load
-    /// unchanged. When the live file is missing, truncated, corrupt, or
-    /// fails to parse, the loader falls back to the rotated `<path>.bak`
-    /// checkpoint with a loud warning on stderr, and errors only when
-    /// both copies are unusable.
+    /// version, length, CRC32C). When the live file is missing, truncated,
+    /// corrupt, or fails to parse, the loader falls back to the rotated
+    /// `<path>.bak` checkpoint with a loud warning on stderr, and errors
+    /// only when both copies are unusable.
     pub fn load_from_file(path: impl AsRef<std::path::Path>) -> Result<Self, KamelError> {
         let path = path.as_ref();
         let primary_err = match Self::read_checkpoint_file(path) {
@@ -763,7 +762,7 @@ impl Kamel {
             serde_json::from_str(json).map_err(|e| KamelError::Persistence(e.to_string()))?;
         doc.config.validate()?;
         if let Some(n) = doc.config.threads {
-            kamel_nn::set_thread_budget(n);
+            crate::threads::set_thread_budget(n);
         }
         let kamel = Self {
             config: doc.config,
@@ -1285,19 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_json_checkpoint_still_loads() {
-        let kamel = trained();
-        let dir = ckpt_dir("legacy");
-        let path = dir.join("model.json");
-        // A pre-envelope model file: bare JSON, written directly.
-        std::fs::write(&path, kamel.to_json().expect("serialize")).unwrap();
-        let restored = Kamel::load_from_file(&path).expect("legacy load");
-        let sparse = street_corpus(1)[0].sparsify(900.0);
-        assert_eq!(kamel.impute(&sparse), restored.impute(&sparse));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn truncated_checkpoint_tail_falls_back_to_backup() {
         let a = trained();
         let dir = ckpt_dir("truncate");
@@ -1377,8 +1363,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let recovered = Kamel::load_from_file(&path).expect("bit-flip fallback");
         assert_eq!(recovered.impute(&sparse), out_a);
-        // A flip inside the magic demotes the file to "legacy JSON",
-        // which fails to parse — same fallback, via the parse layer.
+        // A flip inside the magic is rejected by the envelope check like
+        // any other corruption — same fallback.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[0] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();

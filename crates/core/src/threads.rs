@@ -1,19 +1,19 @@
-//! Process-wide thread budget for the parallel execution layer.
+//! Process-wide thread budget for the two parallel tiers.
 //!
-//! KAMEL's compute tiers — matmul kernels, per-cell pyramid training, and
-//! batch imputation — all draw worker threads from one process-wide budget
-//! so that nested parallelism cannot oversubscribe the host. The budget
-//! resolves in priority order:
+//! KAMEL parallelises across pyramid cells ([`crate::partition::Repository::maintain`])
+//! and across trajectories ([`crate::Kamel::impute_batch`]); both draw
+//! their outer workers from one process-wide budget. Model math itself is
+//! single-threaded (`kamel-nn` spawns nothing). The budget resolves in
+//! priority order:
 //!
 //! 1. an explicit [`set_thread_budget`] call (e.g. from `KamelConfig`'s
 //!    `threads` knob or the CLI's `--threads` flag),
 //! 2. the `KAMEL_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! The budget only controls *how many* workers run; every parallel code
-//! path in this workspace is bit-identical to its sequential counterpart,
-//! so the budget never affects results (asserted by the property tests in
-//! `crates/nn/tests/properties.rs` and `tests/parallel_determinism.rs`).
+//! The budget only controls *how many* workers run; both tiers are
+//! bit-identical to their sequential counterparts, so the budget never
+//! affects results (asserted by `tests/parallel_determinism.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

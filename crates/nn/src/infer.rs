@@ -12,11 +12,7 @@
 //! * **Scratch arena** — every buffer lives in a reusable [`InferScratch`];
 //!   buffers are sized on first use and reused afterwards
 //!   ([`crate::matrix::Matrix::reset_zeroed`] keeps the allocation), so
-//!   steady-state inference performs no heap allocation on the calling
-//!   thread. (Large products may still fan out across the process-wide
-//!   thread budget; spawning those scoped workers is the one remaining
-//!   source of allocation, and only when `thread_budget() > 1` picks the
-//!   parallel kernel.)
+//!   steady-state inference performs no heap allocation.
 //! * **Masked-row head** — the vocabulary projection runs only for the
 //!   masked position(s): a `[1, hidden] × [hidden, vocab]` matvec per
 //!   request ([`crate::matrix::Matrix::matmul_row_into`]) instead of a
@@ -25,13 +21,12 @@
 //!   many `(sequence, masked position)` requests into one forward: the
 //!   sequences are concatenated row-wise (no pad rows, no pad masks —
 //!   every row is real work) so all linear layers run as single large
-//!   matmuls through the PR-1 threaded kernels; attention, the only
-//!   cross-row stage, runs per sequence block.
+//!   matmuls; attention, the only cross-row stage, runs per sequence
+//!   block.
 //!
 //! **Equivalence guarantee.** Every arithmetic operation happens in the
 //! same order as the training forward restricted to the inference path:
-//! the matmuls run the very same kernels (whose parallel dispatch is
-//! already bit-identical to sequential), LayerNorm/GELU/softmax reuse the
+//! the matmuls run the very same kernels, LayerNorm/GELU/softmax reuse the
 //! same per-element expression sequences, and the fused batch is
 //! row-partitioned exactly like independent calls. Outputs are therefore
 //! **bit-identical** to [`BertMlmModel::predict`] — asserted by unit tests

@@ -24,15 +24,10 @@
 //!   forward through a reusable scratch arena, masked-row vocabulary
 //!   head, and ragged batching of many `(sequence, mask)` requests into
 //!   one fused forward. Bit-identical to the training forward.
-//! * [`threads`] — the process-wide worker-thread budget shared by the
-//!   parallel matmul kernels and the higher compute tiers (per-cell
-//!   training, batch imputation). Parallel paths are bit-identical to
-//!   their sequential counterparts, so the budget never changes results.
 //! * [`simd`] — explicit SIMD kernels (AVX2 on x86-64, NEON on aarch64)
 //!   behind a runtime-dispatched backend, overridable with `KAMEL_SIMD`.
 //!   Every vector kernel reproduces the scalar reference's accumulation
-//!   order, so like the thread budget, the active instruction set never
-//!   changes results.
+//!   order, so the active instruction set never changes results.
 //! * [`quant`] — the opt-in int8 weight-quantized serving path:
 //!   per-output-row symmetric weight scales, dynamic activation
 //!   quantization, exact `i8×i8→i32` dots with one f32 rescale per
@@ -40,7 +35,9 @@
 //!
 //! The layer-by-layer backward design (rather than a taped autograd) keeps
 //! the code auditable and the memory profile flat, which matters when many
-//! pyramid-cell models are trained in one process (§4).
+//! pyramid-cell models are trained in one process (§4). For the same reason
+//! the crate spawns no threads: models are small, so parallelism lives
+//! across cells and trajectories in `kamel`, not inside a matmul.
 
 #![warn(missing_docs)]
 
@@ -54,7 +51,6 @@ pub mod matrix;
 pub mod optim;
 pub mod quant;
 pub mod simd;
-pub mod threads;
 pub mod train;
 
 pub use bert::{BertConfig, BertMlmModel};
@@ -63,5 +59,4 @@ pub use matrix::Matrix;
 pub use optim::Adam;
 pub use quant::{ByteSource, QuantizedBertMlm, QuantizedLinear, QPACK_VERSION};
 pub use simd::{active_isa, parse_simd_env, set_backend, supported_backends, Backend, EnvIsa};
-pub use threads::{available_threads, parse_thread_env, set_thread_budget, thread_budget, EnvBudget};
 pub use train::{MlmBatcher, TrainOptions, Trainer};

@@ -6,25 +6,17 @@
 //! every product in forward and backward passes without materializing
 //! transposes.
 //!
-//! Each variant has a sequential kernel (`*_seq`) and a row-partitioned
-//! multithreaded kernel (`*_par_with`) that splits the *output* rows into
-//! disjoint contiguous chunks, one scoped thread per chunk. Both paths run
-//! the same per-row block kernel, so every output element accumulates its
-//! products in the same order — parallel results are **bit-identical** to
-//! sequential ones (property-tested), which keeps seeded training
-//! deterministic under any thread budget. The plain `matmul`/`matmul_tn`/
-//! `matmul_nt` entry points auto-dispatch: big products fan out across the
-//! process-wide [`crate::threads::thread_budget`], small ones stay on the
-//! calling thread.
+//! Every product runs on the calling thread: KAMEL's models are small by
+//! design (one per pyramid cell), so parallelism lives across cells and
+//! trajectories in `kamel`, never inside a matmul.
 //!
 //! The innermost loops (the NN/TN axpy stripes, the NT dot products, and
 //! the broadcast/scale element-wise ops) run through [`crate::simd`],
 //! which dispatches to explicit AVX2/NEON kernels at runtime. Those
 //! kernels preserve the exact accumulation order of the scalar reference,
-//! so the SIMD backend — like the thread budget — never changes results.
+//! so the SIMD backend never changes results.
 
 use crate::simd;
-use crate::threads;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -138,106 +130,27 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self × other` (`[m,k] × [k,n] → [m,n]`), auto-dispatching between
-    /// the sequential and row-partitioned parallel kernels. Results are
-    /// bit-identical either way.
+    /// `self × other` (`[m,k] × [k,n] → [m,n]`).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let threads = auto_threads(self.rows, self.cols, other.cols);
-        if threads > 1 {
-            self.matmul_par_with(other, threads)
-        } else {
-            self.matmul_seq(other)
-        }
-    }
-
-    /// Sequential `self × other`.
-    pub fn matmul_seq(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        nn_block(&self.data, &other.data, &mut out.data, 0, k, n);
-        out
-    }
-
-    /// Multithreaded `self × other` over `threads` scoped workers, each
-    /// owning a disjoint chunk of output rows. Bit-identical to
-    /// [`Matrix::matmul_seq`].
-    pub fn matmul_par_with(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        let (a, b) = (&self.data, &other.data);
-        run_row_partitioned(&mut out.data, m, n, threads, |chunk, row0| {
-            nn_block(a, b, chunk, row0, k, n)
-        });
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
         out
     }
 
     /// `selfᵀ × other` (`[k,m]ᵀ × [k,n] → [m,n]`), without materializing the
-    /// transpose. Used for weight gradients (`dW = xᵀ · dy`). Auto-dispatches
-    /// like [`Matrix::matmul`].
+    /// transpose. Used for weight gradients (`dW = xᵀ · dy`).
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let threads = auto_threads(self.cols, self.rows, other.cols);
-        if threads > 1 {
-            self.matmul_tn_par_with(other, threads)
-        } else {
-            self.matmul_tn_seq(other)
-        }
-    }
-
-    /// Sequential `selfᵀ × other`.
-    pub fn matmul_tn_seq(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        tn_block(&self.data, &other.data, &mut out.data, 0, m, n, k);
-        out
-    }
-
-    /// Multithreaded `selfᵀ × other`; bit-identical to
-    /// [`Matrix::matmul_tn_seq`].
-    pub fn matmul_tn_par_with(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        let (a, b) = (&self.data, &other.data);
-        run_row_partitioned(&mut out.data, m, n, threads, |chunk, row0| {
-            tn_block(a, b, chunk, row0, m, n, k)
-        });
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_tn_into(other, &mut out);
         out
     }
 
     /// `self × otherᵀ` (`[m,k] × [n,k]ᵀ → [m,n]`), without materializing the
     /// transpose. Used for input gradients (`dx = dy · Wᵀ`) and attention
-    /// scores (`Q · Kᵀ`). Auto-dispatches like [`Matrix::matmul`].
+    /// scores (`Q · Kᵀ`).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        let threads = auto_threads(self.rows, self.cols, other.rows);
-        if threads > 1 {
-            self.matmul_nt_par_with(other, threads)
-        } else {
-            self.matmul_nt_seq(other)
-        }
-    }
-
-    /// Sequential `self × otherᵀ`.
-    pub fn matmul_nt_seq(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        nt_block(&self.data, &other.data, &mut out.data, 0, k, n);
-        out
-    }
-
-    /// Multithreaded `self × otherᵀ`; bit-identical to
-    /// [`Matrix::matmul_nt_seq`].
-    pub fn matmul_nt_par_with(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        let (a, b) = (&self.data, &other.data);
-        run_row_partitioned(&mut out.data, m, n, threads, |chunk, row0| {
-            nt_block(a, b, chunk, row0, k, n)
-        });
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_nt_into(other, &mut out);
         out
     }
 
@@ -252,43 +165,28 @@ impl Matrix {
     }
 
     /// `out = self × other`, writing into a reusable buffer instead of
-    /// allocating. Runs the same kernels with the same dispatch as
-    /// [`Matrix::matmul`], so results are bit-identical to it.
+    /// allocating.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         out.reset_zeroed(m, n);
-        let threads = auto_threads(m, k, n);
-        let (a, b) = (&self.data, &other.data);
-        run_row_partitioned(&mut out.data, m, n, threads, |chunk, row0| {
-            nn_block(a, b, chunk, row0, k, n)
-        });
+        simd::nn_block(&self.data, &other.data, &mut out.data, 0, k, n);
     }
 
-    /// `out = selfᵀ × other` into a reusable buffer; bit-identical to
-    /// [`Matrix::matmul_tn`].
+    /// `out = selfᵀ × other` into a reusable buffer.
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
         out.reset_zeroed(m, n);
-        let threads = auto_threads(m, k, n);
-        let (a, b) = (&self.data, &other.data);
-        run_row_partitioned(&mut out.data, m, n, threads, |chunk, row0| {
-            tn_block(a, b, chunk, row0, m, n, k)
-        });
+        tn_block(&self.data, &other.data, &mut out.data, m, n, k);
     }
 
-    /// `out = self × otherᵀ` into a reusable buffer; bit-identical to
-    /// [`Matrix::matmul_nt`].
+    /// `out = self × otherᵀ` into a reusable buffer.
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         out.reset_zeroed(m, n);
-        let threads = auto_threads(m, k, n);
-        let (a, b) = (&self.data, &other.data);
-        run_row_partitioned(&mut out.data, m, n, threads, |chunk, row0| {
-            nt_block(a, b, chunk, row0, k, n)
-        });
+        simd::nt_block(&self.data, &other.data, &mut out.data, k, n);
     }
 
     /// Writes row `row` of `self × other` into `out_row` (length
@@ -301,7 +199,7 @@ impl Matrix {
         assert!(row < self.rows, "row {row} out of range {}", self.rows);
         assert_eq!(out_row.len(), other.cols, "output row length mismatch");
         out_row.iter_mut().for_each(|v| *v = 0.0);
-        nn_block(&self.data, &other.data, out_row, row, self.cols, other.cols);
+        simd::nn_block(&self.data, &other.data, out_row, row, self.cols, other.cols);
     }
 
     /// Element-wise `self += other`.
@@ -346,90 +244,22 @@ impl Matrix {
     }
 }
 
-
-/// Minimum fused multiply-adds a product must offer *per worker* before
-/// fanning out pays for thread spawn/join; below `2×` this, stay
-/// sequential.
-const PAR_MIN_OPS_PER_THREAD: usize = 1 << 16;
-
-/// Worker count for an `m × k × n` product under the process-wide budget:
-/// 1 (sequential) for small products, otherwise enough threads to give
-/// each at least [`PAR_MIN_OPS_PER_THREAD`] fused multiply-adds, capped by
-/// the budget and the row count.
-fn auto_threads(m: usize, k: usize, n: usize) -> usize {
-    let budget = threads::thread_budget();
-    if budget <= 1 || m < 2 {
-        return 1;
-    }
-    let ops = m.saturating_mul(k).saturating_mul(n);
-    if ops < 2 * PAR_MIN_OPS_PER_THREAD {
-        return 1;
-    }
-    budget.min(ops / PAR_MIN_OPS_PER_THREAD).min(m)
-}
-
-/// Splits `out` (row-major, `m × n`) into contiguous row chunks and runs
-/// `work(chunk, first_row)` on each, one scoped thread per chunk. With
-/// `threads <= 1` (or a degenerate shape) the single chunk runs on the
-/// calling thread. Chunks are disjoint, so any `work` that only depends on
-/// its own rows produces output identical to a single sequential pass.
-fn run_row_partitioned<F>(out: &mut [f32], m: usize, n: usize, threads: usize, work: F)
-where
-    F: Fn(&mut [f32], usize) + Sync,
-{
-    if m == 0 || n == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, m);
-    if threads == 1 {
-        work(out, 0);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (ci, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let work = &work;
-            s.spawn(move || work(chunk, ci * rows_per));
-        }
-    });
-}
-
-/// NN kernel over one output-row chunk: `out[row0..][..rows] = a[row0..] × b`
-/// with `a: [m,k]`, `b: [k,n]`. Dispatches once into the active backend's
-/// block kernel (fused register-blocked on AVX2, axpy stripes elsewhere);
-/// per output element the `k` axis accumulates in ascending order on every
-/// path, so chunked execution is bit-identical to one sequential pass.
-fn nn_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
-    simd::nn_block(a, b, out, row0, k, n);
-}
-
-/// TN kernel over one output-row chunk: `out[row0..][..rows] = aᵀ[row0..] × b`
-/// with `a: [k,m]`, `b: [k,n]`. Keeps the sequential kernel's kij order
-/// (each `a`/`b` row pair is touched once per sweep) restricted to the
-/// chunk's columns of `a`; per output element the `k` axis accumulates in
-/// ascending order.
-fn tn_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, m: usize, n: usize, k: usize) {
+/// TN kernel: `out = aᵀ × b` with `a: [k,m]`, `b: [k,n]`, `out: [m,n]`
+/// zeroed by the caller. kij order (each `a`/`b` row pair is touched once
+/// per sweep); per output element the `k` axis accumulates in ascending
+/// order.
+fn tn_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
     if n == 0 {
         return;
     }
-    let rows = out.len() / n;
     for kk in 0..k {
-        let a_row = &a[kk * m + row0..kk * m + row0 + rows];
+        let a_row = &a[kk * m..(kk + 1) * m];
         let b_row = &b[kk * n..(kk + 1) * n];
-        // Dense-path assumption: no zero-skip (see `nn_block`).
+        // Dense-path assumption: no zero-skip (see `simd::nn_block`).
         for (ri, &av) in a_row.iter().enumerate() {
-            let out_row = &mut out[ri * n..(ri + 1) * n];
-            simd::axpy(out_row, av, b_row);
+            simd::axpy(&mut out[ri * n..(ri + 1) * n], av, b_row);
         }
     }
-}
-
-/// NT kernel over one output-row chunk: `out[row0..][..rows] = a[row0..] × bᵀ`
-/// with `a: [m,k]`, `b: [n,k]`. Dispatches once into the active backend's
-/// block kernel (four concurrent dot chains on AVX2, per-dot elsewhere);
-/// every output element reduces in the canonical [`dot`] order.
-fn nt_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
-    simd::nt_block(a, b, out, row0, k, n);
 }
 
 /// Dense dot product of two equal-length slices.

@@ -340,15 +340,13 @@ pub unsafe fn nn_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: us
 /// ascending tail — is exactly [`super::scalar::dot`], so results are
 /// bit-identical to the per-dot reference.
 #[target_feature(enable = "avx2")]
-pub unsafe fn nt_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+pub unsafe fn nt_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    let rows = out.len() / n;
     let k8 = k / 8 * 8;
-    for ri in 0..rows {
-        let a_row = &a[(row0 + ri) * k..(row0 + ri + 1) * k];
-        let out_row = &mut out[ri * n..(ri + 1) * n];
+    for (ri, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[ri * k..(ri + 1) * k];
         let ap = a_row.as_ptr();
         let mut j = 0;
         while j + 4 <= n {

@@ -38,9 +38,9 @@
 //! * Integer kernels (`dot_i8`, `dot_i8x4`) are exact, so any
 //!   accumulation order yields identical results by construction.
 //!
-//! The contract is enforced by proptests (`tests/simd_identity.rs`) that
-//! compare every backend pair directly, across non-multiple-of-8 tails
-//! and thread budgets.
+//! The contract is enforced by seeded property tests
+//! (`tests/simd_identity.rs`) that compare every backend against scalar
+//! directly, across non-multiple-of-8 tails.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -507,15 +507,12 @@ fn nt_block_dots(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
-    row0: usize,
     k: usize,
     n: usize,
     dot_fn: impl Fn(&[f32], &[f32]) -> f32,
 ) {
-    let rows = out.len() / n;
-    for ri in 0..rows {
-        let a_row = &a[(row0 + ri) * k..(row0 + ri + 1) * k];
-        let out_row = &mut out[ri * n..(ri + 1) * n];
+    for (ri, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[ri * k..(ri + 1) * k];
         for (j, o) in out_row.iter_mut().enumerate() {
             *o = dot_fn(a_row, &b[j * k..(j + 1) * k]);
         }
@@ -543,22 +540,22 @@ pub fn nn_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n:
     }
 }
 
-/// NT matmul block kernel: `out (rows×n chunk at row0) = a[row0..] × bᵀ`
-/// with `a: [m,k]`, `b: [n,k]`. One dispatch per block; AVX2 computes
+/// NT matmul block kernel: `out = a × bᵀ` with `a: [m,k]`, `b: [n,k]`,
+/// `out: [m,n]`. One dispatch per block; AVX2 computes
 /// four output dots concurrently (independent accumulator chains hide
 /// add latency), each in the canonical [`dot`] order, so results are
 /// bit-identical across backends.
 #[inline]
-pub fn nt_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+pub fn nt_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { avx2::nt_block(a, b, out, row0, k, n) },
+        Backend::Avx2 => unsafe { avx2::nt_block(a, b, out, k, n) },
         #[cfg(target_arch = "aarch64")]
-        Backend::Neon => nt_block_dots(a, b, out, row0, k, n, neon::dot),
-        _ => nt_block_dots(a, b, out, row0, k, n, scalar::dot),
+        Backend::Neon => nt_block_dots(a, b, out, k, n, neon::dot),
+        _ => nt_block_dots(a, b, out, k, n, scalar::dot),
     }
 }
 

@@ -1,93 +1,75 @@
 //! Bit-identity of the grad-free inference engine against the reference
-//! training forward, across model scales, sequence shapes, batch mixes,
-//! and thread budgets.
+//! training forward, across model scales, sequence shapes, and batch
+//! mixes.
 //!
-//! These property tests are the contract `kamel_nn::infer` ships under:
-//! `predict_with` / `predict_batch_with` return the *same bits* as
+//! These seeded property tests (16 cases each; a failure prints its seed)
+//! are the contract `kamel_nn::infer` ships under: `predict_with` /
+//! `predict_batch_with` return the *same bits* as
 //! [`kamel_nn::BertMlmModel::predict`], and a reused scratch never leaks
-//! state between calls. Thread budgets are exercised explicitly because
-//! the fused batch changes which kernels parallelize — the results must
-//! not change with them.
+//! state between calls.
 
-use kamel_nn::{set_thread_budget, BertConfig, BertMlmModel, InferScratch};
-use proptest::prelude::*;
+mod common;
+
+use common::{for_each_case, Gen};
+use kamel_nn::{BertConfig, BertMlmModel, InferScratch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Tiny and Small — the scales the test suite can afford to build.
-fn config_for(scale: u8, vocab: usize) -> BertConfig {
-    match scale {
+const CASES: u64 = 16;
+
+/// A Tiny or Small model — the scales the test suite can afford to build
+/// — under a random weight seed.
+fn model(g: &mut Gen, scales: usize, vocab: usize) -> BertMlmModel {
+    let config = match g.usize_in(0..scales) {
         0 => BertConfig::tiny(vocab),
         _ => BertConfig::small(vocab),
-    }
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64() % 100);
+    BertMlmModel::new(config, &mut rng)
 }
 
-/// A `(sequence, masked position)` request with ids in `[0, vocab)`.
-fn request_strategy(vocab: usize, max_len: usize) -> impl Strategy<Value = (Vec<u32>, usize)> {
-    proptest::collection::vec(0..vocab as u32, 1..=max_len)
-        .prop_flat_map(|ids| {
-            let len = ids.len();
-            (Just(ids), 0..len)
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Single grad-free prediction == reference forward, bit for bit, for
-    /// any scale, sequence, mask position, and thread budget.
-    #[test]
-    fn predict_with_matches_predict(
-        scale in 0u8..2,
-        seed in 0u64..100,
-        (ids, pos) in request_strategy(13, 24),
-        threads in 1usize..5,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let model = BertMlmModel::new(config_for(scale, 13), &mut rng);
-        set_thread_budget(threads);
+/// Single grad-free prediction == reference forward, bit for bit, for
+/// any scale, sequence, and mask position.
+#[test]
+fn predict_with_matches_predict() {
+    for_each_case(CASES, |g| {
+        let model = model(g, 2, 13);
+        let (ids, pos) = g.request(13, 24);
         let reference = model.predict(&ids, pos);
         let mut scratch = InferScratch::new();
         let fast = model.predict_with(&mut scratch, &ids, pos);
-        set_thread_budget(1);
-        prop_assert_eq!(reference.as_slice(), fast);
-    }
+        assert_eq!(reference.as_slice(), fast);
+    });
+}
 
-    /// A fused batch == each single call, bit for bit, regardless of how
-    /// the requests are mixed (lengths, positions) or the thread budget.
-    #[test]
-    fn batch_matches_singles(
-        scale in 0u8..2,
-        seed in 0u64..100,
-        reqs in proptest::collection::vec(request_strategy(11, 16), 1..6),
-        threads in 1usize..5,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let model = BertMlmModel::new(config_for(scale, 11), &mut rng);
-        set_thread_budget(threads);
+/// A fused batch == each single call, bit for bit, regardless of how
+/// the requests are mixed (lengths, positions).
+#[test]
+fn batch_matches_singles() {
+    for_each_case(CASES, |g| {
+        let model = model(g, 2, 11);
+        let reqs: Vec<_> = (0..g.usize_in(1..6)).map(|_| g.request(11, 16)).collect();
         let views: Vec<(&[u32], usize)> = reqs
             .iter()
             .map(|(ids, pos)| (ids.as_slice(), *pos))
             .collect();
         let mut scratch = InferScratch::new();
         let batch = model.predict_batch_with(&mut scratch, &views).clone();
-        set_thread_budget(1);
-        prop_assert_eq!(batch.rows(), reqs.len());
+        assert_eq!(batch.rows(), reqs.len());
         for (i, (ids, pos)) in reqs.iter().enumerate() {
             let reference = model.predict(ids, *pos);
-            prop_assert_eq!(reference.as_slice(), batch.row(i), "request {} diverged", i);
+            assert_eq!(reference.as_slice(), batch.row(i), "request {i} diverged");
         }
-    }
+    });
+}
 
-    /// One scratch fed a shuffle of differently-shaped requests answers
-    /// each exactly like a fresh scratch: reuse leaks no state.
-    #[test]
-    fn scratch_reuse_leaks_no_state(
-        seed in 0u64..100,
-        reqs in proptest::collection::vec(request_strategy(9, 12), 2..6),
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let model = BertMlmModel::new(BertConfig::tiny(9), &mut rng);
+/// One scratch fed a shuffle of differently-shaped requests answers
+/// each exactly like a fresh scratch: reuse leaks no state.
+#[test]
+fn scratch_reuse_leaks_no_state() {
+    for_each_case(CASES, |g| {
+        let model = model(g, 1, 9);
+        let reqs: Vec<_> = (0..g.usize_in(2..6)).map(|_| g.request(9, 12)).collect();
         let mut reused = InferScratch::new();
         // Warm the scratch with every request once, then replay: answers
         // must match fresh-scratch answers bit for bit.
@@ -98,7 +80,7 @@ proptest! {
             let replay = model.predict_with(&mut reused, ids, *pos).to_vec();
             let mut fresh = InferScratch::new();
             let clean = model.predict_with(&mut fresh, ids, *pos);
-            prop_assert_eq!(replay.as_slice(), clean);
+            assert_eq!(replay.as_slice(), clean);
         }
-    }
+    });
 }

@@ -1,32 +1,31 @@
-//! Property-based tests for the neural substrate: numerical invariants
-//! that must hold for arbitrary shapes and values.
+//! Seeded property tests for the neural substrate: numerical invariants
+//! that must hold for arbitrary shapes and values. Each test runs 32
+//! seeded cases; a failure prints its seed.
 
+mod common;
+
+use common::for_each_case;
 use kamel_nn::layers::{
     dropout_backward, dropout_forward, gelu, gelu_grad, softmax_rows, softmax_rows_backward,
     LayerNorm, Linear,
 };
 use kamel_nn::Matrix;
-use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    proptest::collection::vec(-5.0f32..5.0, rows * cols)
-        .prop_map(move |data| Matrix::from_vec(rows, cols, data))
-}
+const CASES: u64 = 32;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Softmax rows are probability distributions for any finite input.
-    #[test]
-    fn softmax_rows_are_distributions(m in matrix_strategy(4, 7)) {
+/// Softmax rows are probability distributions for any finite input.
+#[test]
+fn softmax_rows_are_distributions() {
+    for_each_case(CASES, |g| {
+        let m = g.matrix(4, 7, -5.0..5.0);
         let mut s = m.clone();
         softmax_rows(&mut s);
         for r in 0..4 {
             let sum: f32 = s.row(r).iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-4, "row {r} sums to {sum}");
-            prop_assert!(s.row(r).iter().all(|&v| (0.0..=1.0).contains(&v)));
+            assert!((sum - 1.0).abs() < 1e-4, "row {r} sums to {sum}");
+            assert!(s.row(r).iter().all(|&v| (0.0..=1.0).contains(&v)));
         }
         // Shift invariance: adding a constant per row leaves softmax fixed.
         let mut shifted = m.clone();
@@ -37,17 +36,18 @@ proptest! {
         }
         softmax_rows(&mut shifted);
         for (a, b) in s.data().iter().zip(shifted.data()) {
-            prop_assert!((a - b).abs() < 1e-4);
+            assert!((a - b).abs() < 1e-4);
         }
-    }
+    });
+}
 
-    /// Softmax backward matches finite differences at a random coordinate.
-    #[test]
-    fn softmax_backward_matches_fd(
-        logits in matrix_strategy(1, 6),
-        upstream in matrix_strategy(1, 6),
-        col in 0usize..6,
-    ) {
+/// Softmax backward matches finite differences at a random coordinate.
+#[test]
+fn softmax_backward_matches_fd() {
+    for_each_case(CASES, |g| {
+        let logits = g.matrix(1, 6, -5.0..5.0);
+        let upstream = g.matrix(1, 6, -5.0..5.0);
+        let col = g.usize_in(0..6);
         let mut a = logits.clone();
         softmax_rows(&mut a);
         let ds = softmax_rows_backward(&a, &upstream);
@@ -62,53 +62,66 @@ proptest! {
         let mut dn = logits.clone();
         dn.set(0, col, logits.get(0, col) - eps);
         let num = (loss(&up) - loss(&dn)) / (2.0 * eps);
-        prop_assert!((num - ds.get(0, col)).abs() < 2e-2, "num {num} got {}", ds.get(0, col));
-    }
+        assert!((num - ds.get(0, col)).abs() < 2e-2, "num {num} got {}", ds.get(0, col));
+    });
+}
 
-    /// LayerNorm output is standardized per row for any non-constant input.
-    #[test]
-    fn layernorm_standardizes(m in matrix_strategy(3, 8)) {
+/// LayerNorm output is standardized per row for any non-constant input.
+#[test]
+fn layernorm_standardizes() {
+    for_each_case(CASES, |g| {
+        let m = g.matrix(3, 8, -5.0..5.0);
         let ln = LayerNorm::new(8);
         let (y, _) = ln.forward(&m);
         for r in 0..3 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 8.0;
-            prop_assert!(mean.abs() < 1e-3, "row {r} mean {mean}");
+            assert!(mean.abs() < 1e-3, "row {r} mean {mean}");
             let var: f32 = y.row(r).iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 8.0;
             // Constant rows normalize to ~0 variance; others to ~1.
-            prop_assert!(var < 1.3, "row {r} var {var}");
+            assert!(var < 1.3, "row {r} var {var}");
         }
-    }
+    });
+}
 
-    /// The three matmul variants agree wherever their shapes overlap.
-    #[test]
-    fn matmul_variants_agree(a in matrix_strategy(3, 4), b in matrix_strategy(4, 2)) {
+/// The three matmul variants agree wherever their shapes overlap.
+#[test]
+fn matmul_variants_agree() {
+    for_each_case(CASES, |g| {
+        let a = g.matrix(3, 4, -5.0..5.0);
+        let b = g.matrix(4, 2, -5.0..5.0);
         let c = a.matmul(&b);
         let at = Matrix::from_fn(4, 3, |r, cc| a.get(cc, r));
         let c_tn = at.matmul_tn(&b);
         let bt = Matrix::from_fn(2, 4, |r, cc| b.get(cc, r));
         let c_nt = a.matmul_nt(&bt);
         for i in 0..c.data().len() {
-            prop_assert!((c.data()[i] - c_tn.data()[i]).abs() < 1e-3);
-            prop_assert!((c.data()[i] - c_nt.data()[i]).abs() < 1e-3);
+            assert!((c.data()[i] - c_tn.data()[i]).abs() < 1e-3);
+            assert!((c.data()[i] - c_nt.data()[i]).abs() < 1e-3);
         }
-    }
+    });
+}
 
-    /// GELU is bounded below, asymptotically identity, and its analytic
-    /// gradient matches finite differences.
-    #[test]
-    fn gelu_properties(x in -6.0f32..6.0) {
-        prop_assert!(gelu(x) >= -0.2);
-        prop_assert!(gelu(x) <= x.max(0.0) + 1e-4);
+/// GELU is bounded below, asymptotically identity, and its analytic
+/// gradient matches finite differences.
+#[test]
+fn gelu_properties() {
+    for_each_case(CASES, |g| {
+        let x = g.f32_in(-6.0..6.0);
+        assert!(gelu(x) >= -0.2);
+        assert!(gelu(x) <= x.max(0.0) + 1e-4);
         let eps = 1e-3;
         let num = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
-        prop_assert!((num - gelu_grad(x)).abs() < 5e-3);
-    }
+        assert!((num - gelu_grad(x)).abs() < 5e-3, "x {x}");
+    });
+}
 
-    /// Linear backward input gradient matches finite differences at a
-    /// random coordinate, for random layer shapes and seeds.
-    #[test]
-    fn linear_dx_matches_fd(seed in 0u64..1000, r in 0usize..3, c in 0usize..4) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+/// Linear backward input gradient matches finite differences at a
+/// random coordinate, for random layer seeds.
+#[test]
+fn linear_dx_matches_fd() {
+    for_each_case(CASES, |g| {
+        let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64() % 1000);
+        let (r, c) = (g.usize_in(0..3), g.usize_in(0..4));
         let mut lin = Linear::new(4, 3, &mut rng);
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
         let upstream = Matrix::randn(3, 3, 1.0, &mut rng);
@@ -121,70 +134,29 @@ proptest! {
         let mut dn = x.clone();
         dn.set(r, c, x.get(r, c) - eps);
         let num = (loss(&up) - loss(&dn)) / (2.0 * eps);
-        prop_assert!((num - dx.get(r, c)).abs() < 5e-2, "num {num} got {}", dx.get(r, c));
-    }
+        assert!((num - dx.get(r, c)).abs() < 5e-2, "num {num} got {}", dx.get(r, c));
+    });
+}
 
-    /// The parallel NN kernel is bit-identical to the sequential one for
-    /// random shapes, seeds, and thread counts — the determinism contract
-    /// the whole parallel execution layer rests on.
-    #[test]
-    fn matmul_par_bit_identical(
-        m in 1usize..24, k in 1usize..24, n in 1usize..24,
-        threads in 1usize..9, seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::randn(m, k, 1.0, &mut rng);
-        let b = Matrix::randn(k, n, 1.0, &mut rng);
-        let seq = a.matmul_seq(&b);
-        let par = a.matmul_par_with(&b, threads);
-        prop_assert_eq!(seq.data(), par.data());
-    }
-
-    /// Same bit-identity contract for the TN (transposed-left) kernel.
-    #[test]
-    fn matmul_tn_par_bit_identical(
-        m in 1usize..24, k in 1usize..24, n in 1usize..24,
-        threads in 1usize..9, seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::randn(k, m, 1.0, &mut rng);
-        let b = Matrix::randn(k, n, 1.0, &mut rng);
-        let seq = a.matmul_tn_seq(&b);
-        let par = a.matmul_tn_par_with(&b, threads);
-        prop_assert_eq!(seq.data(), par.data());
-    }
-
-    /// Same bit-identity contract for the NT (transposed-right) kernel.
-    #[test]
-    fn matmul_nt_par_bit_identical(
-        m in 1usize..24, k in 1usize..24, n in 1usize..24,
-        threads in 1usize..9, seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::randn(m, k, 1.0, &mut rng);
-        let b = Matrix::randn(n, k, 1.0, &mut rng);
-        let seq = a.matmul_nt_seq(&b);
-        let par = a.matmul_nt_par_with(&b, threads);
-        prop_assert_eq!(seq.data(), par.data());
-    }
-
-    /// Dropout preserves expectation and its backward uses the same mask.
-    #[test]
-    fn dropout_expectation(seed in 0u64..1000, p in 0.0f32..0.9) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+/// Dropout preserves expectation and its backward uses the same mask.
+#[test]
+fn dropout_expectation() {
+    for_each_case(CASES, |g| {
+        let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64() % 1000);
+        let p = g.f32_in(0.0..0.9);
         let x = Matrix::from_fn(30, 30, |_, _| 1.0);
         let (out, mask) = dropout_forward(&x, p, &mut rng);
         let mean: f32 = out.data().iter().sum::<f32>() / 900.0;
-        prop_assert!((mean - 1.0).abs() < 0.25, "p {p} mean {mean}");
+        assert!((mean - 1.0).abs() < 0.25, "p {p} mean {mean}");
         // mask entries are exactly 0 or the inverse keep rate.
         let scale = if p == 0.0 { 1.0 } else { 1.0 / (1.0 - p) };
         for &m in mask.data() {
-            prop_assert!(m == 0.0 || (m - scale).abs() < 1e-5);
+            assert!(m == 0.0 || (m - scale).abs() < 1e-5);
         }
         let dy = Matrix::from_fn(30, 30, |_, _| 2.0);
         let dx = dropout_backward(&mask, &dy);
         for (d, m) in dx.data().iter().zip(mask.data()) {
-            prop_assert!((d - 2.0 * m).abs() < 1e-5);
+            assert!((d - 2.0 * m).abs() < 1e-5);
         }
-    }
+    });
 }

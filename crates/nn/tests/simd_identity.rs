@@ -1,21 +1,23 @@
-//! Bit-identity proptests for the SIMD backends.
+//! Bit-identity property tests for the SIMD backends.
 //!
 //! The contract (see `kamel_nn::simd`): every backend performs the same
 //! floating-point operations in the same order as the scalar reference,
 //! so outputs are **bit-identical** — not merely close — across backends,
-//! for every kernel, every tail length, and every thread budget. These
-//! tests sweep each supported backend against scalar and compare raw
-//! bits.
+//! for every kernel and every tail length. These tests sweep each
+//! supported backend against scalar and compare raw bits, 32 seeded cases
+//! each; a failure prints its seed.
 //!
 //! Backend selection is process-global, so every test that switches it
 //! holds one shared lock; the integer/float kernels themselves are pure.
 
+mod common;
+
 use std::sync::Mutex;
 
+use common::{for_each_case, Gen};
 use kamel_nn::layers::{gelu_forward_into, softmax_slice, LayerNorm};
 use kamel_nn::simd::{self, Backend};
 use kamel_nn::Matrix;
-use proptest::prelude::*;
 
 /// Serializes backend switching across concurrently running tests.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
@@ -40,18 +42,42 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+const CASES: u64 = 32;
+
 /// Lengths that cross the 8-lane (and the AVX2 int8 16-lane) strides,
 /// plus ragged tails.
-fn len_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), Just(1), Just(7), Just(8), Just(9), Just(15), Just(16), Just(17), 1usize..70]
+fn len(g: &mut Gen) -> usize {
+    const EDGES: [usize; 8] = [0, 1, 7, 8, 9, 15, 16, 17];
+    match g.usize_in(0..EDGES.len() + 1) {
+        i if i < EDGES.len() => EDGES[i],
+        _ => g.usize_in(1..70),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// `len` values cycled out of 0–69 random ones in `range`; `fill` when
+/// none were drawn.
+fn cycled_f32(g: &mut Gen, len: usize, range: std::ops::Range<f32>, fill: f32) -> Vec<f32> {
+    let n = g.usize_in(0..70);
+    let data = g.vec_f32(n, range);
+    (0..len)
+        .map(|i| data.get(i % data.len().max(1)).copied().unwrap_or(fill))
+        .collect()
+}
 
-    /// Reductions: dot, sum, sum-of-squared-diffs, max.
-    #[test]
-    fn reductions_are_bit_identical(len in len_strategy(), seed in any::<u64>()) {
+/// Asserts every backend's result equals the first (scalar) one.
+fn assert_all_match_scalar<T: PartialEq + std::fmt::Debug>(results: &[(Backend, T)]) {
+    let reference = &results[0].1;
+    for (backend, got) in results {
+        assert_eq!(got, reference, "{} diverged from scalar", backend.name());
+    }
+}
+
+/// Reductions: dot, sum, sum-of-squared-diffs, max.
+#[test]
+fn reductions_are_bit_identical() {
+    for_each_case(CASES, |g| {
+        let len = len(g);
+        let seed = g.next_u64();
         let gen = |salt: u64| -> Vec<f32> {
             (0..len)
                 .map(|i| {
@@ -64,35 +90,27 @@ proptest! {
         };
         let (a, b) = (gen(1), gen(2));
         let mean = if len == 0 { 0.0 } else { a.iter().sum::<f32>() / len as f32 };
-        let results = across_backends(|| {
+        assert_all_match_scalar(&across_backends(|| {
             (
                 simd::dot(&a, &b).to_bits(),
                 simd::sum(&a).to_bits(),
                 simd::sum_sq_diff(&a, mean).to_bits(),
                 simd::max(&a).to_bits(),
             )
-        });
-        let (_, reference) = results[0];
-        for (backend, got) in &results {
-            prop_assert_eq!(*got, reference, "{} diverged from scalar", backend.name());
-        }
-    }
+        }));
+    });
+}
 
-    /// Element-wise kernels: axpy, add, add_assign, scale, GELU, the
-    /// LayerNorm affine step.
-    #[test]
-    fn elementwise_kernels_are_bit_identical(
-        len in len_strategy(),
-        a in -3.0f32..3.0,
-        data in proptest::collection::vec(-5.0f32..5.0, 0..70),
-    ) {
-        let x: Vec<f32> = if data.is_empty() {
-            vec![0.25f32; len]
-        } else {
-            data.iter().cycle().cloned().take(len).collect()
-        };
+/// Element-wise kernels: axpy, add, add_assign, scale, GELU, the
+/// LayerNorm affine step.
+#[test]
+fn elementwise_kernels_are_bit_identical() {
+    for_each_case(CASES, |g| {
+        let len = len(g);
+        let a = g.f32_in(-3.0..3.0);
+        let x = cycled_f32(g, len, -5.0..5.0, 0.25);
         let y: Vec<f32> = x.iter().map(|v| v * 0.5 - 1.0).collect();
-        let results = across_backends(|| {
+        assert_all_match_scalar(&across_backends(|| {
             let mut axpy_out = y.clone();
             simd::axpy(&mut axpy_out, a, &x);
             let mut addassign_out = y.clone();
@@ -115,187 +133,161 @@ proptest! {
                 bits(&gelu_out),
                 bits(&ln_out),
             )
-        });
-        let reference = results[0].1.clone();
-        for (backend, got) in &results {
-            prop_assert_eq!(got, &reference, "{} diverged from scalar", backend.name());
-        }
-    }
+        }));
+    });
+}
 
-    /// The softmax core (`exp_sum`): the SIMD-reproducible `exp` sequence
-    /// plus the canonical 8-lane sum, across clamp-range inputs (deeply
-    /// negative logits hit the `exp` underflow clamp).
-    #[test]
-    fn exp_sum_is_bit_identical(
-        len in len_strategy(),
-        data in proptest::collection::vec(-120.0f32..25.0, 0..70),
-    ) {
-        let base: Vec<f32> = (0..len)
-            .map(|i| data.get(i % data.len().max(1)).copied().unwrap_or(0.5))
-            .collect();
+/// The softmax core (`exp_sum`): the SIMD-reproducible `exp` sequence
+/// plus the canonical 8-lane sum, across clamp-range inputs (deeply
+/// negative logits hit the `exp` underflow clamp).
+#[test]
+fn exp_sum_is_bit_identical() {
+    for_each_case(CASES, |g| {
+        let len = len(g);
+        let base = cycled_f32(g, len, -120.0..25.0, 0.5);
         let max = simd::max(&base);
         let max = if max.is_finite() { max } else { 0.0 };
-        let results = across_backends(|| {
+        assert_all_match_scalar(&across_backends(|| {
             let mut row = base.clone();
             let s = simd::exp_sum(&mut row, max);
             (s.to_bits(), bits(&row))
-        });
-        let reference = results[0].1.clone();
-        for (backend, got) in &results {
-            prop_assert_eq!(got, &reference, "{} diverged from scalar", backend.name());
-        }
-    }
+        }));
+    });
+}
 
-    /// The fused 4-row int8 matvec step equals four plain int8 dots on
-    /// every backend (exact integer arithmetic).
-    #[test]
-    fn dot_i8x4_matches_four_dots(
-        k in len_strategy(),
-        codes in proptest::collection::vec(-127i8..=127, 0..70),
-    ) {
-        let a: Vec<i8> = (0..k)
-            .map(|i| codes.get(i % codes.len().max(1)).copied().unwrap_or(-127))
-            .collect();
-        let w: Vec<i8> = (0..4 * k)
-            .map(|i| codes.get((i * 7 + 3) % codes.len().max(1)).copied().unwrap_or(127))
-            .collect();
-        let results = across_backends(|| simd::dot_i8x4(&a, &w));
-        for (backend, got) in results {
+/// `len` int8 codes picked by `index(i)` out of 0–69 random ones; `fill`
+/// when none were drawn.
+fn picked_i8(codes: &[i8], len: usize, fill: i8, index: impl Fn(usize) -> usize) -> Vec<i8> {
+    (0..len)
+        .map(|i| codes.get(index(i) % codes.len().max(1)).copied().unwrap_or(fill))
+        .collect()
+}
+
+fn codes(g: &mut Gen) -> Vec<i8> {
+    let n = g.usize_in(0..70);
+    g.vec_i8(n)
+}
+
+/// The fused 4-row int8 matvec step equals four plain int8 dots on
+/// every backend (exact integer arithmetic).
+#[test]
+fn dot_i8x4_matches_four_dots() {
+    for_each_case(CASES, |g| {
+        let k = len(g);
+        let codes = codes(g);
+        let a = picked_i8(&codes, k, -127, |i| i);
+        let w = picked_i8(&codes, 4 * k, 127, |i| i * 7 + 3);
+        for (backend, got) in across_backends(|| simd::dot_i8x4(&a, &w)) {
             for t in 0..4 {
                 let expect: i32 = a
                     .iter()
                     .zip(&w[t * k..(t + 1) * k])
                     .map(|(&x, &y)| x as i32 * y as i32)
                     .sum();
-                prop_assert_eq!(got[t], expect, "{} row {} diverged", backend.name(), t);
+                assert_eq!(got[t], expect, "{} row {t} diverged", backend.name());
             }
         }
-    }
+    });
+}
 
-    /// Activation quantization (`abs_max_finite` + `quantize_i8`): scale
-    /// and codes are bit-identical across backends, including values that
-    /// land exactly on rounding ties.
-    #[test]
-    fn quantization_is_bit_identical(
-        len in len_strategy(),
-        data in proptest::collection::vec(-6.0f32..6.0, 0..70),
-    ) {
-        let row: Vec<f32> = (0..len)
-            .map(|i| data.get(i % data.len().max(1)).copied().unwrap_or(0.75))
-            .collect();
-        let results = across_backends(|| {
+/// Activation quantization (`abs_max_finite` + `quantize_i8`): scale
+/// and codes are bit-identical across backends, including values that
+/// land exactly on rounding ties.
+#[test]
+fn quantization_is_bit_identical() {
+    for_each_case(CASES, |g| {
+        let len = len(g);
+        let row = cycled_f32(g, len, -6.0..6.0, 0.75);
+        assert_all_match_scalar(&across_backends(|| {
             let (amax, finite) = simd::abs_max_finite(&row);
             let mut codes = vec![0i8; len];
             if amax > 0.0 {
                 simd::quantize_i8(&row, 127.0 / amax, &mut codes);
             }
             (amax.to_bits(), finite, codes)
-        });
-        let reference = results[0].1.clone();
-        for (backend, got) in &results {
-            prop_assert_eq!(got, &reference, "{} diverged from scalar", backend.name());
-        }
-    }
+        }));
+    });
+}
 
-    /// The fused int8 matvec + rescale (`quant_matvec`): bit-identical
-    /// output rows across backends, for ragged widths in both dimensions.
-    #[test]
-    fn quant_matvec_is_bit_identical(
-        k in len_strategy(),
-        n in len_strategy(),
-        codes in proptest::collection::vec(-127i8..=127, 0..70),
-        x_scale in 1e-3f32..1.0,
-    ) {
-        let xq: Vec<i8> = (0..k)
-            .map(|i| codes.get(i % codes.len().max(1)).copied().unwrap_or(63))
-            .collect();
-        let wq: Vec<i8> = (0..n * k)
-            .map(|i| codes.get((i * 11 + 5) % codes.len().max(1)).copied().unwrap_or(-63))
-            .collect();
+/// The fused int8 matvec + rescale (`quant_matvec`): bit-identical
+/// output rows across backends, for ragged widths in both dimensions.
+#[test]
+fn quant_matvec_is_bit_identical() {
+    for_each_case(CASES, |g| {
+        let (k, n) = (len(g), len(g));
+        let codes = codes(g);
+        let x_scale = g.f32_in(1e-3..1.0);
+        let xq = picked_i8(&codes, k, 63, |i| i);
+        let wq = picked_i8(&codes, n * k, -63, |i| i * 11 + 5);
         let scales: Vec<f32> = (0..n).map(|o| 1e-2 + o as f32 * 1e-3).collect();
         let bias: Vec<f32> = (0..n).map(|o| o as f32 * 0.1 - 0.7).collect();
-        let results = across_backends(|| {
+        assert_all_match_scalar(&across_backends(|| {
             let mut out = vec![0.0f32; n];
             simd::quant_matvec(&xq, x_scale, &wq, &scales, &bias, &mut out);
             bits(&out)
-        });
-        let reference = results[0].1.clone();
-        for (backend, got) in &results {
-            prop_assert_eq!(got, &reference, "{} diverged from scalar", backend.name());
-        }
-    }
+        }));
+    });
+}
 
-    /// The int8 dot is exact integer arithmetic: identical on every
-    /// backend, including saturation-magnitude inputs (±127).
-    #[test]
-    fn dot_i8_is_identical_across_backends(
-        len in len_strategy(),
-        codes in proptest::collection::vec(-127i8..=127, 0..70),
-    ) {
-        let a: Vec<i8> = (0..len)
-            .map(|i| codes.get(i % codes.len().max(1)).copied().unwrap_or(127))
-            .collect();
+/// The int8 dot is exact integer arithmetic: identical on every
+/// backend, including saturation-magnitude inputs (±127).
+#[test]
+fn dot_i8_is_identical_across_backends() {
+    for_each_case(CASES, |g| {
+        let len = len(g);
+        let codes = codes(g);
+        let a = picked_i8(&codes, len, 127, |i| i);
         let b: Vec<i8> = a.iter().rev().map(|&v| v.wrapping_neg().max(-127)).collect();
         let expect: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
-        let results = across_backends(|| simd::dot_i8(&a, &b));
-        for (backend, got) in results {
-            prop_assert_eq!(got, expect, "{} diverged", backend.name());
+        for (backend, got) in across_backends(|| simd::dot_i8(&a, &b)) {
+            assert_eq!(got, expect, "{} diverged", backend.name());
         }
-    }
+    });
+}
 
-    /// All three matmul orientations (allocating, `_into`, `_row_into`,
-    /// and the explicit thread budgets 1/2/4) are bit-identical across
-    /// backends.
-    #[test]
-    fn matmuls_are_bit_identical(
-        m in 1usize..7,
-        k in 1usize..19,
-        n in 1usize..19,
-        a_data in proptest::collection::vec(-3.0f32..3.0, 6 * 18),
-        b_data in proptest::collection::vec(-3.0f32..3.0, 18 * 18),
-    ) {
+/// All three matmul orientations (allocating, `_into`, `_row_into`) are
+/// bit-identical across backends.
+#[test]
+fn matmuls_are_bit_identical() {
+    for_each_case(CASES, |g| {
+        let (m, k, n) = (g.usize_in(1..7), g.usize_in(1..19), g.usize_in(1..19));
+        let row = g.usize_in(0..m);
+        let a_data = g.vec_f32(6 * 18, -3.0..3.0);
+        let b_data = g.vec_f32(18 * 18, -3.0..3.0);
         let a = Matrix::from_vec(m, k, a_data[..m * k].to_vec());
         let b = Matrix::from_vec(k, n, b_data[..k * n].to_vec());
         let b_t = Matrix::from_vec(n, k, b_data[..n * k].to_vec());
         let a_t = Matrix::from_vec(k, m, a_data[..k * m].to_vec());
-        let results = across_backends(|| {
+        assert_all_match_scalar(&across_backends(|| {
             let nn = a.matmul(&b);
             let tn = a_t.matmul_tn(&b);
             let nt = a.matmul_nt(&b_t);
             let mut nn_into = Matrix::zeros(0, 0);
             a.matmul_into(&b, &mut nn_into);
-            let mut row0 = vec![0.0f32; n];
-            a.matmul_row_into(0, &b, &mut row0);
-            let mut swept = Vec::new();
-            for threads in [1usize, 2, 4] {
-                swept.extend(bits(a.matmul_par_with(&b, threads).data()));
-                swept.extend(bits(a_t.matmul_tn_par_with(&b, threads).data()));
-                swept.extend(bits(a.matmul_nt_par_with(&b_t, threads).data()));
-            }
+            // Any row, not only the first: inference scores the masked
+            // row, so the kernels' row offset must hold on every backend.
+            let mut one_row = vec![0.0f32; n];
+            a.matmul_row_into(row, &b, &mut one_row);
+            assert_eq!(bits(&one_row), bits(&nn.data()[row * n..(row + 1) * n]));
             (
                 bits(nn.data()),
                 bits(tn.data()),
                 bits(nt.data()),
                 bits(nn_into.data()),
-                bits(&row0),
-                swept,
+                bits(&one_row),
             )
-        });
-        let reference = results[0].1.clone();
-        for (backend, got) in &results {
-            prop_assert_eq!(got, &reference, "{} diverged from scalar", backend.name());
-        }
-    }
+        }));
+    });
+}
 
-    /// The layer-level ops the engine calls: softmax over a row slice,
-    /// GELU into a buffer, LayerNorm (both entry points), and the bias
-    /// broadcast.
-    #[test]
-    fn layer_ops_are_bit_identical(
-        rows in 1usize..5,
-        cols in 1usize..21,
-        data in proptest::collection::vec(-4.0f32..4.0, 4 * 20),
-    ) {
+/// The layer-level ops the engine calls: softmax over a row slice,
+/// GELU into a buffer, LayerNorm (both entry points), and the bias
+/// broadcast.
+#[test]
+fn layer_ops_are_bit_identical() {
+    for_each_case(CASES, |g| {
+        let (rows, cols) = (g.usize_in(1..5), g.usize_in(1..21));
+        let data = g.vec_f32(4 * 20, -4.0..4.0);
         let x = Matrix::from_vec(rows, cols, data[..rows * cols].to_vec());
         let bias: Vec<f32> = (0..cols).map(|c| c as f32 * 0.3 - 1.0).collect();
         let ln = LayerNorm::new(cols);
@@ -319,14 +311,13 @@ proptest! {
                 bits(broadcast.data()),
             )
         });
-        let reference = results[0].1.clone();
-        for (backend, got) in &results {
-            prop_assert_eq!(got, &reference, "{} diverged from scalar", backend.name());
+        assert_all_match_scalar(&results);
+        for (_, got) in &results {
             // The two LayerNorm entry points must also agree with each
             // other (training vs inference path).
-            prop_assert_eq!(&got.2, &got.3, "forward vs forward_into diverged");
+            assert_eq!(got.2, got.3, "forward vs forward_into diverged");
         }
-    }
+    });
 }
 
 /// The engine-level guarantee: full BERT inference produces identical
