@@ -59,15 +59,12 @@ fn run_level(
 ) -> serde_json::Value {
     let server = boot(kamel, cache_entries, plan.connections + 64);
     let outcome = loadgen::run(server.local_addr(), "/v1/impute", plan, bodies);
-    let mut summary = loadgen::summary_json(plan, &outcome);
-    if let serde_json::Value::Object(fields) = &mut summary {
-        fields.insert(
-            "cache_hit_rate".to_string(),
-            json!(server.metrics().cache_hit_rate()),
-        );
-    }
+    let level = json!({
+        "cache_hit_rate": server.metrics().cache_hit_rate(),
+        "load": loadgen::summary_json(plan, &outcome),
+    });
     server.shutdown();
-    summary
+    level
 }
 
 fn main() {

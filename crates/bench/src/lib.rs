@@ -1,6 +1,6 @@
 //! Experiment runners that regenerate every table and figure of the
-//! paper's evaluation (§8), shared by the `figures` binary and the
-//! criterion benches.
+//! paper's evaluation (§8) for the `figures` binary, plus the helpers the
+//! perf benches share.
 //!
 //! Each `figN` function reproduces one figure's sweep and returns the same
 //! rows/series the paper plots. The datasets are the synthetic Porto/Jakarta

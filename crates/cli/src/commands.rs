@@ -40,13 +40,13 @@ fn config_from_flags(flags: &Flags) -> Result<KamelConfig, String> {
     builder = builder
         .cell_edge_m(flags.get_f64("--cell-edge-m", 75.0)?)
         .max_gap_m(flags.get_f64("--max-gap-m", 100.0)?)
-        .beam_size(flags.get_f64("--beam-size", 10.0)? as usize)
-        .pyramid_height(flags.get_f64("--pyramid-height", 3.0)? as usize)
-        .pyramid_maintained(flags.get_f64("--pyramid-maintained", 3.0)? as usize)
-        .model_threshold_k(flags.get_f64("--threshold-k", 500.0)? as u64);
+        .beam_size(flags.get_usize("--beam-size", 10)?)
+        .pyramid_height(flags.get_usize("--pyramid-height", 3)?)
+        .pyramid_maintained(flags.get_usize("--pyramid-maintained", 3)?)
+        .model_threshold_k(flags.get_u64("--threshold-k", 500)?);
     // 0 (the default) means "auto": resolve via KAMEL_THREADS, then
     // hardware parallelism.
-    let threads = flags.get_f64("--threads", 0.0)? as usize;
+    let threads = flags.get_usize("--threads", 0)?;
     if threads > 0 {
         builder = builder.threads(Some(threads));
     }
@@ -151,9 +151,9 @@ pub fn train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         return Err(format!("{input}: no trajectories"));
     }
     let total = trajectories.len();
-    let checkpoint_every = flags.get_f64("--checkpoint-every", 0.0)? as usize;
-    let stop_after = flags.get_f64("--stop-after", 0.0)? as usize;
-    let throttle_ms = flags.get_f64("--throttle-ms", 0.0)? as u64;
+    let checkpoint_every = flags.get_usize("--checkpoint-every", 0)?;
+    let stop_after = flags.get_usize("--stop-after", 0)?;
+    let throttle_ms = flags.get_u64("--throttle-ms", 0)?;
     let ppath = progress_path(model_path);
 
     // Resolve the starting model, resume position, and checkpoint cadence.
@@ -264,7 +264,7 @@ pub fn impute(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let Some(flags) = Flags::parse("impute", help, &values, &[], args, out)? else {
         return Ok(());
     };
-    let threads = flags.get_f64("--threads", 0.0)? as usize;
+    let threads = flags.get_usize("--threads", 0)?;
     if threads > 0 {
         kamel::set_thread_budget(threads);
     }
@@ -536,13 +536,9 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     // load so flag mistakes surface immediately.
     let shard = match (flags.get("--shard-id"), flags.get("--shard-of")) {
         (None, None) => None,
-        (Some(id), Some(of)) => {
-            let id: usize = id
-                .parse()
-                .map_err(|_| format!("--shard-id expects an integer, got `{id}`"))?;
-            let of: usize = of
-                .parse()
-                .map_err(|_| format!("--shard-of expects an integer, got `{of}`"))?;
+        (Some(_), Some(_)) => {
+            let id = flags.get_usize("--shard-id", 0)?;
+            let of = flags.get_usize("--shard-of", 0)?;
             if id >= of {
                 return Err(format!("--shard-id {id} must be < --shard-of {of}"));
             }
@@ -587,17 +583,17 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         }
         let trainer = kamel_learn::TrainerConfig {
             interval: std::time::Duration::from_secs(
-                flags.get_f64("--learn-interval-secs", 60.0)? as u64
+                flags.get_u64("--learn-interval-secs", 60)?
             ),
             // Capture-only never trains in-process: the sealed segments are
             // left for a standalone `kamel learn` daemon to drain.
             batch_min: if flags.has("--capture-only") {
                 usize::MAX
             } else {
-                (flags.get_f64("--learn-batch-min", 16.0)? as usize).max(1)
+                flags.get_usize("--learn-batch-min", 16)?.max(1)
             },
             selection: kamel_learn::SelectionConfig {
-                max_cells: (flags.get_f64("--learn-cells", 4.0)? as usize).max(1),
+                max_cells: flags.get_usize("--learn-cells", 4)?.max(1),
                 ..kamel_learn::SelectionConfig::default()
             },
             gate_delta_m: flags.get_f64("--learn-gate-delta-m", 50.0)?,
@@ -608,7 +604,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     } else {
         None
     };
-    let learn_queue_cap = (flags.get_f64("--learn-queue-cap", 4096.0)? as usize).max(1);
+    let learn_queue_cap = flags.get_usize("--learn-queue-cap", 4096)?.max(1);
     let kamel = match store_path {
         Some(path) => {
             let kamel =
@@ -650,7 +646,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
     // Batch workers default to the model's thread budget; --threads
     // overrides for this process.
-    let threads = flags.get_f64("--threads", 0.0)? as usize;
+    let threads = flags.get_usize("--threads", 0)?;
     let workers = if threads > 0 {
         threads
     } else {
@@ -659,17 +655,17 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let config = kamel_server::ServerConfig {
         workers,
         handlers: (workers * 4).clamp(4, 64),
-        batch_max: (flags.get_f64("--batch-max", 16.0)? as usize).max(1),
-        batch_wait: std::time::Duration::from_micros(flags.get_f64("--batch-wait-us", 500.0)? as u64),
-        queue_cap: (flags.get_f64("--queue-cap", 256.0)? as usize).max(1),
-        cache_entries: flags.get_f64("--cache-entries", 1024.0)? as usize,
+        batch_max: flags.get_usize("--batch-max", 16)?.max(1),
+        batch_wait: std::time::Duration::from_micros(flags.get_u64("--batch-wait-us", 500)?),
+        queue_cap: flags.get_usize("--queue-cap", 256)?.max(1),
+        cache_entries: flags.get_usize("--cache-entries", 1024)?,
         deadline: std::time::Duration::from_millis(
-            (flags.get_f64("--deadline-ms", 10_000.0)? as u64).max(1),
+            flags.get_u64("--deadline-ms", 10_000)?.max(1),
         ),
         degraded_mode: flags.has("--degraded-mode"),
-        max_connections: (flags.get_f64("--max-connections", 10_000.0)? as usize).max(1),
+        max_connections: flags.get_usize("--max-connections", 10_000)?.max(1),
         idle_timeout: std::time::Duration::from_millis(
-            (flags.get_f64("--idle-timeout-ms", 30_000.0)? as u64).max(1),
+            flags.get_u64("--idle-timeout-ms", 30_000)?.max(1),
         ),
     };
     let addr = flags.get("--addr").unwrap_or("127.0.0.1:8080");
@@ -846,10 +842,10 @@ pub fn learn(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let model_path = std::path::PathBuf::from(flags.required("--model")?);
     let capture_dir = std::path::PathBuf::from(flags.required("--capture-dir")?);
     let cfg = kamel_learn::TrainerConfig {
-        interval: std::time::Duration::from_secs(flags.get_f64("--interval-secs", 60.0)? as u64),
-        batch_min: (flags.get_f64("--batch-min", 16.0)? as usize).max(1),
+        interval: std::time::Duration::from_secs(flags.get_u64("--interval-secs", 60)?),
+        batch_min: flags.get_usize("--batch-min", 16)?.max(1),
         selection: kamel_learn::SelectionConfig {
-            max_cells: (flags.get_f64("--cells", 4.0)? as usize).max(1),
+            max_cells: flags.get_usize("--cells", 4)?.max(1),
             ..kamel_learn::SelectionConfig::default()
         },
         gate_delta_m: flags.get_f64("--gate-delta-m", 50.0)?,
@@ -1019,32 +1015,32 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         }
     };
     let config = kamel_router::RouterConfig {
-        handlers: (flags.get_f64("--handlers", 8.0)? as usize).max(1),
+        handlers: flags.get_usize("--handlers", 8)?.max(1),
         timeout: std::time::Duration::from_millis(
-            (flags.get_f64("--timeout-ms", 10_000.0)? as u64).max(1),
+            flags.get_u64("--timeout-ms", 10_000)?.max(1),
         ),
         health: kamel_router::HealthPolicy {
-            eject_after: (flags.get_f64("--eject-after", 3.0)? as u32).max(1),
+            eject_after: flags.get_u64("--eject-after", 3)?.clamp(1, u64::from(u32::MAX)) as u32,
             probe_interval: std::time::Duration::from_millis(
-                (flags.get_f64("--probe-interval-ms", 500.0)? as u64).max(1),
+                flags.get_u64("--probe-interval-ms", 500)?.max(1),
             ),
         },
         breaker: kamel_router::BreakerPolicy {
-            window: (flags.get_f64("--breaker-window", 16.0)? as usize).max(2),
+            window: flags.get_usize("--breaker-window", 16)?.max(2),
             failure_ratio: flags.get_f64("--breaker-threshold", 0.5)?.clamp(0.01, 1.0),
             open_for: std::time::Duration::from_millis(
-                (flags.get_f64("--breaker-open-ms", 2_000.0)? as u64).max(1),
+                flags.get_u64("--breaker-open-ms", 2_000)?.max(1),
             ),
             ..kamel_router::BreakerPolicy::default()
         },
         default_deadline: std::time::Duration::from_millis(
-            (flags.get_f64("--default-deadline-ms", 10_000.0)? as u64).max(1),
+            flags.get_u64("--default-deadline-ms", 10_000)?.max(1),
         ),
         degraded: flags.has("--degraded-mode"),
         degraded_max_gap_m: flags.get_f64("--degraded-max-gap-m", 100.0)?,
-        max_connections: (flags.get_f64("--max-connections", 10_000.0)? as usize).max(1),
+        max_connections: flags.get_usize("--max-connections", 10_000)?.max(1),
         idle_timeout: std::time::Duration::from_millis(
-            (flags.get_f64("--idle-timeout-ms", 30_000.0)? as u64).max(1),
+            flags.get_u64("--idle-timeout-ms", 30_000)?.max(1),
         ),
         ..kamel_router::RouterConfig::default()
     };
@@ -1107,12 +1103,7 @@ pub fn chaos(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             .ok_or_else(|| format!("--upstream {upstream}: resolves to no address"))?
     };
     let schedule = match (flags.get("--seed"), flags.get("--script")) {
-        (Some(seed), None) => {
-            let seed: u64 = seed
-                .parse()
-                .map_err(|_| format!("--seed expects an integer, got `{seed}`"))?;
-            kamel_chaos::ChaosSchedule::seeded(seed)
-        }
+        (Some(_), None) => kamel_chaos::ChaosSchedule::seeded(flags.get_u64("--seed", 0)?),
         (None, Some(script)) => {
             kamel_chaos::ChaosSchedule::parse_script(script).map_err(|e| format!("--script: {e}"))?
         }
@@ -1120,9 +1111,9 @@ pub fn chaos(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         (None, None) => return Err("missing schedule: give --seed N or --script LIST".into()),
     };
     let mut config = kamel_chaos::ChaosConfig::new(schedule);
-    config.stall_ms = (flags.get_f64("--stall-ms", config.stall_ms as f64)? as u64).max(1);
-    config.trickle_ms = (flags.get_f64("--trickle-ms", config.trickle_ms as f64)? as u64).max(1);
-    config.torn_after = (flags.get_f64("--torn-after", config.torn_after as f64)? as usize).max(1);
+    config.stall_ms = flags.get_u64("--stall-ms", config.stall_ms)?.max(1);
+    config.trickle_ms = flags.get_u64("--trickle-ms", config.trickle_ms)?.max(1);
+    config.torn_after = flags.get_usize("--torn-after", config.torn_after)?.max(1);
     let listen = flags.get("--listen").unwrap_or("127.0.0.1:8790");
     let listener = std::net::TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
     let signals = kamel_server::install_signal_handlers();
@@ -1171,12 +1162,12 @@ pub fn c10k(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             .next()
             .ok_or_else(|| format!("--addr {addr}: resolves to no address"))?
     };
-    let n = (flags.get_f64("--connections", 1_000.0)? as usize).max(1);
+    let n = flags.get_usize("--connections", 1_000)?.max(1);
     let timeout = std::time::Duration::from_millis(
-        (flags.get_f64("--timeout-ms", 10_000.0)? as u64).max(1),
+        flags.get_u64("--timeout-ms", 10_000)?.max(1),
     );
     let gauge_wait = std::time::Duration::from_millis(
-        (flags.get_f64("--gauge-wait-ms", 10_000.0)? as u64).max(1),
+        flags.get_u64("--gauge-wait-ms", 10_000)?.max(1),
     );
     let fixture = flags
         .get("--fixture")
@@ -1279,7 +1270,7 @@ pub fn evaluate(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         delta_m: flags.get_f64("--delta-m", 50.0)?,
         max_gap_m: flags.get_f64("--max-gap-m", 100.0)?,
     };
-    let limit = flags.get_f64("--limit", 0.0)? as usize;
+    let limit = flags.get_usize("--limit", 0)?;
     // Reuse the harness by wrapping the ground truth in an ad-hoc dataset.
     let origin = truth[0].points[0].pos;
     let dataset = kamel_roadsim::Dataset {

@@ -155,6 +155,25 @@ impl<'a> Flags<'a> {
                 .map_err(|_| format!("flag `{key}` expects a number, got `{v}`")),
         }
     }
+
+    /// A count: base-10 digits only, so `1.5`, `-3`, `nan` and `1e9` are
+    /// errors where a float cast would truncate or clamp them.
+    pub(crate) fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(default);
+        };
+        // `u64::from_str` rejects all of those but would take a leading `+`.
+        v.parse()
+            .ok()
+            .filter(|_| !v.starts_with('+'))
+            .ok_or_else(|| format!("flag `{key}` expects an integer, got `{v}`"))
+    }
+
+    /// [`Flags::get_u64`] for sizes and counts held as `usize`.
+    pub(crate) fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        let n = self.get_u64(key, default as u64)?;
+        usize::try_from(n).map_err(|_| format!("flag `{key}` expects an integer, got `{n}`"))
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +228,90 @@ mod tests {
         assert!(out.contains("unknown flag `--thread` for `kamel train`"), "{out}");
     }
 
+    /// Counts are integers: every integer flag of every command rejects a
+    /// fraction instead of truncating it. Each row gives the arguments that
+    /// carry the command as far as reading the flags; the unusable
+    /// addresses make a row that wrongly passes fail instead of serving.
+    #[test]
+    fn every_integer_flag_rejects_a_non_integer() {
+        let dir = std::env::temp_dir().join(format!("kamel_cli_intflags_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (csv, model) = (path("trips.csv"), path("model.json"));
+        let mut rows = String::from("traj_id,lat,lng,t\n");
+        for trip in 0..30 {
+            for i in 0..25 {
+                rows += &format!("{trip},41.15,{},{}\n", -8.61 + f64::from(i) * 0.001, i * 10);
+            }
+        }
+        std::fs::write(&csv, rows).unwrap();
+        let (code, out) =
+            run_capture(&["train", "--input", &csv, "--model", &model, "--threshold-k", "50"]);
+        assert_eq!(code, 0, "{out}");
+
+        let config = ["--beam-size", "--pyramid-height", "--pyramid-maintained", "--threshold-k", "--threads"];
+        let check = |command: &str, reach: &[&str], flags: &[&str]| {
+            for flag in flags {
+                for bad in ["1.5", "-3", "nan", "1e9", "+5", ""] {
+                    let args = [&[command], reach, &[flag, bad]].concat();
+                    let (code, out) = run_capture(&args);
+                    assert_eq!(code, 1, "{command} {flag} {bad}: {out}");
+                    let expected = format!("flag `{flag}` expects an integer, got `{bad}`");
+                    assert!(out.contains(&expected), "{command} {flag} {bad}: {out}");
+                }
+            }
+        };
+        let out_model = path("out.json");
+        check("train", &["--input", &csv, "--model", &out_model], &config);
+        check(
+            "train",
+            &["--input", &csv, "--model", &out_model],
+            &["--checkpoint-every", "--stop-after", "--throttle-ms"],
+        );
+        check("tune", &["--input", &csv], &config);
+        check("impute", &[], &["--threads"]);
+        check("evaluate", &["--model", &model, "--truth", &csv], &["--limit"]);
+        let serve = ["--model", &model, "--addr", "nowhere"];
+        check(
+            "serve",
+            &serve,
+            &[
+                "--threads", "--batch-max", "--batch-wait-us", "--queue-cap", "--cache-entries",
+                "--deadline-ms", "--max-connections", "--idle-timeout-ms",
+            ],
+        );
+        check(
+            "serve",
+            &[&serve[..], &["--learn"]].concat(),
+            &["--learn-interval-secs", "--learn-batch-min", "--learn-cells", "--learn-queue-cap"],
+        );
+        check("serve", &[&serve[..], &["--shard-of", "2"]].concat(), &["--shard-id"]);
+        check("serve", &[&serve[..], &["--shard-id", "0"]].concat(), &["--shard-of"]);
+        check(
+            "learn",
+            &["--model", &model, "--capture-dir", &path("capture"), "--once"],
+            &["--interval-secs", "--batch-min", "--cells"],
+        );
+        check(
+            "route",
+            &["--shard", "127.0.0.1:1", "--addr", "nowhere"],
+            &[
+                "--handlers", "--timeout-ms", "--eject-after", "--probe-interval-ms",
+                "--breaker-window", "--breaker-open-ms", "--default-deadline-ms",
+                "--max-connections", "--idle-timeout-ms",
+            ],
+        );
+        check("c10k", &["--addr", "127.0.0.1:1"], &["--connections", "--timeout-ms", "--gauge-wait-ms"]);
+        let chaos = ["--upstream", "127.0.0.1:1", "--listen", "nowhere"];
+        check("chaos", &chaos, &["--seed"]);
+        check(
+            "chaos",
+            &[&chaos[..], &["--seed", "7"]].concat(),
+            &["--stall-ms", "--trickle-ms", "--torn-after"],
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Every flag a command's `--help` synopsis names is accepted: given
     /// alone it fails on something else (a missing or malformed flag), never
     /// as unknown.
@@ -256,6 +359,9 @@ mod tests {
         assert_eq!(f.get_f64("--a", 0.0).unwrap(), 1.0);
         assert_eq!(f.get_f64("--absent", 7.5).unwrap(), 7.5);
         assert!(f.get_f64("--b", 0.0).is_err());
+        assert_eq!(f.get_usize("--a", 0).unwrap(), 1);
+        assert_eq!(f.get_u64("--absent", 7).unwrap(), 7);
+        assert!(f.get_u64("--b", 0).is_err());
     }
 
     #[test]

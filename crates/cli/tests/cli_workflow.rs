@@ -194,10 +194,15 @@ fn export_writes_geojson() {
         "export", "--input", csv.to_str().unwrap(), "--output", geojson.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "{out}");
-    let doc: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&geojson).unwrap()).unwrap();
-    assert_eq!(doc["type"], "FeatureCollection");
-    assert_eq!(doc["features"][0]["geometry"]["type"], "LineString");
+    // Members are decoded one at a time: `type` is a keyword, so no struct
+    // field can name it.
+    type Object = std::collections::HashMap<String, serde_json::Value>;
+    let tag = |o: &Object| serde_json::from_value::<String>(o["type"].clone()).unwrap();
+    let doc: Object = serde_json::from_str(&std::fs::read_to_string(&geojson).unwrap()).unwrap();
+    assert_eq!(tag(&doc), "FeatureCollection");
+    let features: Vec<Object> = serde_json::from_value(doc["features"].clone()).unwrap();
+    let geometry: Object = serde_json::from_value(features[0]["geometry"].clone()).unwrap();
+    assert_eq!(tag(&geometry), "LineString");
     std::fs::remove_file(&csv).ok();
     std::fs::remove_file(&geojson).ok();
 }

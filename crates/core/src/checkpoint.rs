@@ -273,66 +273,6 @@ pub fn save_checkpoint(path: impl AsRef<Path>, payload: &[u8]) -> std::io::Resul
     write_atomic_with(&RealIo, path.as_ref(), &encode(payload), true)
 }
 
-/// How a checkpoint payload was obtained by [`load_checkpoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadedFrom {
-    /// The live file validated cleanly.
-    Live,
-    /// The live file was missing or corrupt; the `.bak` rotation was used.
-    Backup,
-}
-
-/// Loads and validates the checkpoint payload at `path`, falling back to
-/// `<path>.bak` (with a loud warning on stderr) when the live file is
-/// missing, truncated, corrupt, or from an unknown future version.
-///
-/// Returns the payload bytes and where they came from. Errors only when
-/// both the live file and the backup are unusable.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> std::io::Result<(Vec<u8>, LoadedFrom)> {
-    let path = path.as_ref();
-    let primary = read_validated(path);
-    let primary_err = match primary {
-        Ok(payload) => return Ok((payload, LoadedFrom::Live)),
-        Err(e) => e,
-    };
-    let bak = bak_path(path);
-    match read_validated(&bak) {
-        Ok(payload) => {
-            // Once per path per process — see [`note_bak_recovery`].
-            if note_bak_recovery(path) {
-                eprintln!(
-                    "warning: checkpoint {} is unusable ({primary_err}); \
-                     recovered from backup {}",
-                    path.display(),
-                    bak.display()
-                );
-            }
-            Ok((payload, LoadedFrom::Backup))
-        }
-        Err(bak_err) => Err(std::io::Error::new(
-            primary_err.kind(),
-            format!(
-                "{}: {primary_err} (backup {}: {bak_err})",
-                path.display(),
-                bak.display()
-            ),
-        )),
-    }
-}
-
-/// Reads `path` and decodes its envelope; any validation failure becomes
-/// an `InvalidData` error.
-fn read_validated(path: &Path) -> std::io::Result<Vec<u8>> {
-    let bytes = std::fs::read(path)?;
-    match decode(&bytes) {
-        Ok(payload) => Ok(payload.to_vec()),
-        Err(e) => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            e.to_string(),
-        )),
-    }
-}
-
 /// Best-effort fsync of `path`'s parent directory, making the rename pair
 /// durable on filesystems where directory updates are buffered. Failure is
 /// ignored: not all platforms allow opening directories for sync.
@@ -478,7 +418,6 @@ pub mod faults {
 
 #[cfg(test)]
 mod tests {
-    use super::faults::{Fault, FaultyIo};
     use super::*;
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -570,125 +509,19 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip_and_rotation() {
+    fn save_rotates_the_previous_checkpoint_to_bak() {
         let dir = tempdir("rotate");
         let path = dir.join("model.ckpt");
+        let live = || std::fs::read(&path).unwrap();
         save_checkpoint(&path, b"v1").unwrap();
-        assert_eq!(
-            load_checkpoint(&path).unwrap(),
-            (b"v1".to_vec(), LoadedFrom::Live)
-        );
+        assert_eq!(decode(&live()).unwrap(), b"v1");
         assert!(!bak_path(&path).exists(), "no backup after the first save");
         save_checkpoint(&path, b"v2").unwrap();
-        assert_eq!(
-            load_checkpoint(&path).unwrap(),
-            (b"v2".to_vec(), LoadedFrom::Live)
-        );
+        assert_eq!(decode(&live()).unwrap(), b"v2");
         // The rotation preserved v1 as the backup.
         let bak = std::fs::read(bak_path(&path)).unwrap();
         assert_eq!(decode(&bak).unwrap(), b"v1");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_live_falls_back_to_backup() {
-        let dir = tempdir("fallback");
-        let path = dir.join("model.ckpt");
-        let old = vec![b'o'; 200];
-        let new = vec![b'n'; 200];
-        save_checkpoint(&path, &old).unwrap();
-        save_checkpoint(&path, &new).unwrap();
-        // Truncate the live file's last 64 bytes (the acceptance-criterion
-        // shape): the magic survives, the payload does not.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 64]).unwrap();
-        let (payload, from) = load_checkpoint(&path).unwrap();
-        assert_eq!(from, LoadedFrom::Backup);
-        assert_eq!(payload, old);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_live_with_backup_recovers() {
-        let dir = tempdir("missing_live");
-        let path = dir.join("model.ckpt");
-        save_checkpoint(&path, b"only").unwrap();
-        save_checkpoint(&path, b"newer").unwrap();
-        std::fs::remove_file(&path).unwrap();
-        let (payload, from) = load_checkpoint(&path).unwrap();
-        assert_eq!(from, LoadedFrom::Backup);
-        assert_eq!(payload, b"only");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn both_unusable_is_an_error_naming_both_paths() {
-        let dir = tempdir("both_bad");
-        let path = dir.join("model.ckpt");
-        let err = load_checkpoint(&path).unwrap_err();
-        assert!(err.to_string().contains("model.ckpt"), "{err}");
-        assert!(err.to_string().contains(".bak"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The recovery matrix: for every injected fault, a subsequent load
-    /// must yield exactly the pre-save payload (the save never completed)
-    /// — never a torn or blended file.
-    #[test]
-    fn fault_matrix_never_loses_the_previous_checkpoint() {
-        let new_wire_len = encode(b"NEW-checkpoint-payload").len();
-        let faults = [
-            Fault::ShortWrite { keep: 3 },
-            Fault::ShortWrite { keep: new_wire_len - 1 },
-            Fault::Enospc { after: 0 },
-            Fault::Enospc { after: new_wire_len / 2 },
-            Fault::CrashBeforeRename,
-            Fault::CrashBetweenRenames,
-        ];
-        for (i, fault) in faults.into_iter().enumerate() {
-            let dir = tempdir(&format!("matrix_{i}"));
-            let path = dir.join("model.ckpt");
-            save_checkpoint(&path, b"OLD-checkpoint-payload").unwrap();
-            let io = FaultyIo::new(fault);
-            let err = write_atomic_with(&io, &path, &encode(b"NEW-checkpoint-payload"), true)
-                .expect_err("fault must surface");
-            assert!(
-                err.kind() == super::faults::CRASH
-                    || err.kind() == std::io::ErrorKind::StorageFull,
-                "{fault:?}: unexpected error {err}"
-            );
-            let (payload, _) = load_checkpoint(&path)
-                .unwrap_or_else(|e| panic!("{fault:?}: recovery failed: {e}"));
-            assert_eq!(
-                payload, b"OLD-checkpoint-payload",
-                "{fault:?}: recovered payload is not the pre-save state"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    /// Bit-flip corruption after a *successful* save: the flip lands on
-    /// the live file, so recovery must hand back the previous checkpoint
-    /// from the rotation.
-    #[test]
-    fn post_save_bit_flip_recovers_previous_checkpoint() {
-        let wire_len = encode(b"NEW").len();
-        // One offset in each validated region: magic, version, length,
-        // recorded CRC, first payload byte, last payload byte.
-        for offset in [0usize, 8, 12, 20, HEADER_LEN, wire_len - 1] {
-            let dir = tempdir(&format!("bitflip_{offset}"));
-            let path = dir.join("model.ckpt");
-            save_checkpoint(&path, b"OLD").unwrap();
-            save_checkpoint(&path, b"NEW").unwrap();
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes[offset] ^= 0x40;
-            std::fs::write(&path, &bytes).unwrap();
-            let (payload, from) = load_checkpoint(&path)
-                .unwrap_or_else(|e| panic!("offset {offset}: recovery failed: {e}"));
-            assert_eq!(from, LoadedFrom::Backup, "offset {offset}");
-            assert_eq!(payload, b"OLD", "offset {offset}");
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     #[test]

@@ -1327,8 +1327,10 @@ mod tests {
         let faults = [
             Fault::ShortWrite { keep: 100 },
             Fault::ShortWrite { keep: b_wire.len() - 1 },
+            Fault::Enospc { after: 0 },
             Fault::Enospc { after: b_wire.len() / 2 },
             Fault::CrashBeforeRename,
+            // Leaves no live file at all: only the rotated `.bak` exists.
             Fault::CrashBetweenRenames,
         ];
         for (i, fault) in faults.into_iter().enumerate() {
@@ -1346,8 +1348,8 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).ok();
         }
-        // CRC corruption after a *successful* save: payload bit flip on
-        // the live file → fallback to the rotated pre-save checkpoint.
+        // Corruption after a *successful* save: a bit flip on the live
+        // file → fallback to the rotated pre-save checkpoint.
         let dir = ckpt_dir("matrix_bitflip");
         let path = dir.join("model.ckpt");
         a.save_to_file(&path).expect("pre-save");
@@ -1357,19 +1359,39 @@ mod tests {
             out_b,
             "clean post-save load is the post-save system"
         );
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 40] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        let recovered = Kamel::load_from_file(&path).expect("bit-flip fallback");
-        assert_eq!(recovered.impute(&sparse), out_a);
-        // A flip inside the magic is rejected by the envelope check like
-        // any other corruption — same fallback.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        let recovered = Kamel::load_from_file(&path).expect("magic-flip fallback");
-        assert_eq!(recovered.impute(&sparse), out_a);
+        // One offset in each validated region: magic, version, length,
+        // recorded CRC, first payload byte, a late payload byte.
+        let clean = std::fs::read(&path).unwrap();
+        let header = crate::checkpoint::HEADER_LEN;
+        for offset in [0, 8, 12, 20, header, clean.len() - 40] {
+            let mut bytes = clean.clone();
+            bytes[offset] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            let recovered = Kamel::load_from_file(&path)
+                .unwrap_or_else(|e| panic!("flip at {offset}: recovery failed: {e}"));
+            assert_eq!(recovered.impute(&sparse), out_a, "flip at {offset}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn both_copies_unusable_is_an_error_naming_both_paths() {
+        let a = trained();
+        let dir = ckpt_dir("both_bad");
+        let path = dir.join("model.ckpt");
+        a.save_to_file(&path).expect("save");
+        a.save_to_file(&path).expect("save again: rotates a backup");
+        let bak = crate::checkpoint::bak_path(&path);
+        for file in [&path, &bak] {
+            let bytes = std::fs::read(file).unwrap();
+            std::fs::write(file, &bytes[..bytes.len() - 64]).unwrap();
+        }
+        let err = match Kamel::load_from_file(&path) {
+            Ok(_) => panic!("two truncated copies must not load"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains("model.ckpt:"), "{err}");
+        assert!(err.contains(bak.to_str().unwrap()), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -43,12 +43,6 @@ impl Ellipse {
         self.f1.dist(&self.f2)
     }
 
-    /// Semi-major axis length (a).
-    #[inline]
-    pub fn semi_major(&self) -> f64 {
-        self.max_total_dist * 0.5
-    }
-
     /// True when `p` lies inside or on the ellipse.
     #[inline]
     pub fn contains(&self, p: Xy) -> bool {

@@ -329,42 +329,24 @@ fn rank_regulars(probs: &[f32], top_k: usize) -> Vec<(u32, f64)> {
         .collect()
 }
 
-impl MaskedTokenModel for BertMlm {
-    fn predict_masked(&self, seq: &[u64], pos: usize, top_k: usize) -> Vec<Candidate> {
-        assert!(pos < seq.len(), "mask position {pos} out of range");
-        if top_k == 0 || self.vocab.is_empty() {
-            return Vec::new();
-        }
-        let (ids, mask_index) = self.build_masked_input(seq, pos);
-        INFER_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            // Grad-free forward + masked-row head: bit-identical to
-            // `self.model.predict(&ids, mask_index)` (property-tested).
-            // With quantization enabled, the int8 path runs instead; its
-            // accuracy is gated upstream before enablement.
-            let probs = match &self.quant {
-                Some(q) => self.model.predict_quant_with(q, &mut scratch, &ids, mask_index),
-                None => self.model.predict_with(&mut scratch, &ids, mask_index),
-            };
-            rank_regulars(probs, top_k)
-                .into_iter()
-                .filter_map(|(id, prob)| {
-                    self.vocab.key_of(id).map(|key| Candidate { key, prob })
-                })
-                .collect()
-        })
-    }
-
-    fn predict_masked_batch(&self, reqs: &[(Vec<u64>, usize)], top_k: usize) -> Vec<Vec<Candidate>> {
+impl BertMlm {
+    /// One fused forward for `reqs`, each masked row ranked into its top-k
+    /// candidates. With quantization enabled the int8 weights run instead;
+    /// their accuracy is gated upstream before enablement.
+    fn predict_ranked<S: AsRef<[u64]>>(
+        &self,
+        reqs: &[(S, usize)],
+        top_k: usize,
+    ) -> Vec<Vec<Candidate>> {
         for (seq, pos) in reqs {
-            assert!(*pos < seq.len(), "mask position {pos} out of range");
+            assert!(*pos < seq.as_ref().len(), "mask position {pos} out of range");
         }
         if top_k == 0 || self.vocab.is_empty() {
             return vec![Vec::new(); reqs.len()];
         }
         let inputs: Vec<(Vec<u32>, usize)> = reqs
             .iter()
-            .map(|(seq, pos)| self.build_masked_input(seq, *pos))
+            .map(|(seq, pos)| self.build_masked_input(seq.as_ref(), *pos))
             .collect();
         let views: Vec<(&[u32], usize)> = inputs
             .iter()
@@ -372,8 +354,8 @@ impl MaskedTokenModel for BertMlm {
             .collect();
         INFER_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            // One fused forward for the whole batch; row `i` is
-            // bit-identical to the single-request path for `reqs[i]`.
+            // Grad-free forward + masked-row head; row `i` is bit-identical
+            // to `self.model.predict` on `reqs[i]` alone (property-tested).
             let probs = match &self.quant {
                 Some(q) => self.model.predict_batch_quant_with(q, &mut scratch, &views),
                 None => self.model.predict_batch_with(&mut scratch, &views),
@@ -389,6 +371,18 @@ impl MaskedTokenModel for BertMlm {
                 })
                 .collect()
         })
+    }
+}
+
+impl MaskedTokenModel for BertMlm {
+    fn predict_masked(&self, seq: &[u64], pos: usize, top_k: usize) -> Vec<Candidate> {
+        self.predict_ranked(&[(seq, pos)], top_k)
+            .pop()
+            .expect("one answer per request")
+    }
+
+    fn predict_masked_batch(&self, reqs: &[(Vec<u64>, usize)], top_k: usize) -> Vec<Vec<Candidate>> {
+        self.predict_ranked(reqs, top_k)
     }
 
     fn vocab_len(&self) -> usize {

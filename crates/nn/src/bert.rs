@@ -137,21 +137,6 @@ impl BertMlmModel {
         self.forward_impl(ids, valid, None)
     }
 
-    /// Training forward pass with embedding dropout (the original BERT
-    /// applies dropout after the embedding LayerNorm; inference skips it).
-    pub fn forward_train(
-        &self,
-        ids: &[u32],
-        valid: Option<&[bool]>,
-        dropout_p: f32,
-        rng: &mut impl Rng,
-    ) -> (Matrix, BertCache) {
-        if dropout_p <= 0.0 {
-            return self.forward_impl(ids, valid, None);
-        }
-        self.forward_impl(ids, valid, Some((dropout_p, rng)))
-    }
-
     fn forward_impl(
         &self,
         ids: &[u32],

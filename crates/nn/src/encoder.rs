@@ -51,6 +51,12 @@ impl EncoderLayer {
         }
     }
 
+    /// The six weight matmuls, in the order the forward applies them.
+    pub(crate) fn projections(&self) -> [&Linear; 6] {
+        let a = &self.attn;
+        [&a.wq, &a.wk, &a.wv, &a.wo, &self.ff1, &self.ff2]
+    }
+
     /// Forward pass over `x: [n, hidden]` with an optional validity mask.
     pub fn forward(&self, x: &Matrix, valid: Option<&[bool]>) -> (Matrix, EncoderCache) {
         let (attn_out, attn_cache) = self.attn.forward(x, valid);

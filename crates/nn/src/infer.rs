@@ -33,7 +33,8 @@
 //! here and property tests in `tests/infer_equivalence.rs`.
 
 use crate::bert::BertMlmModel;
-use crate::layers::{gelu_forward_into, softmax_rows, softmax_slice};
+use crate::encoder::EncoderLayer;
+use crate::layers::{gelu_forward_into, softmax_rows, softmax_slice, Linear};
 use crate::matrix::Matrix;
 
 /// Reusable buffers for the grad-free forward pass.
@@ -136,6 +137,29 @@ pub(crate) fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     crate::simd::add(a.data(), b.data(), out.data_mut());
 }
 
+/// One weight matmul of the inference forward: the model's own f32
+/// [`Linear`], or its int8 counterpart ([`crate::quant::QuantizedLinear`]).
+/// `xq` is the scratch's activation-code buffer; only int8 touches it.
+pub(crate) trait Projection {
+    /// `out = x·W + b` for every row of `x`.
+    fn project_into(&self, x: &Matrix, xq: &mut Vec<i8>, out: &mut Matrix);
+    /// `out = x[row]·W + b`.
+    fn project_row_into(&self, x: &Matrix, row: usize, xq: &mut Vec<i8>, out: &mut [f32]);
+}
+
+impl Projection for Linear {
+    fn project_into(&self, x: &Matrix, _xq: &mut Vec<i8>, out: &mut Matrix) {
+        self.forward_into(x, out);
+    }
+
+    fn project_row_into(&self, x: &Matrix, row: usize, _xq: &mut Vec<i8>, out: &mut [f32]) {
+        x.matmul_row_into(row, &self.weight.w, out);
+        for (o, &b) in out.iter_mut().zip(self.bias.w.row(0)) {
+            *o += b;
+        }
+    }
+}
+
 impl BertMlmModel {
     /// Grad-free single prediction: the probability distribution over the
     /// vocabulary for position `pos`, bit-identical to
@@ -162,6 +186,21 @@ impl BertMlmModel {
         &self,
         scratch: &'s mut InferScratch,
         reqs: &[(&[u32], usize)],
+    ) -> &'s Matrix {
+        let layers = self.layers.iter().map(EncoderLayer::projections);
+        self.forward_batch(scratch, reqs, layers, &self.out)
+    }
+
+    /// The one inference forward, over whichever weights the caller hands
+    /// in: per encoder layer its `[wq, wk, wv, wo, ff1, ff2]` projections,
+    /// then the vocabulary head. Embeddings, attention scores, residuals,
+    /// LayerNorm and GELU are the model's own f32 either way.
+    pub(crate) fn forward_batch<'s, 'w, P: Projection + 'w>(
+        &self,
+        scratch: &'s mut InferScratch,
+        reqs: &[(&[u32], usize)],
+        layers: impl Iterator<Item = [&'w P; 6]>,
+        head: &P,
     ) -> &'s Matrix {
         let hidden = self.config.hidden;
         let vocab = self.config.vocab_size;
@@ -204,14 +243,14 @@ impl BertMlmModel {
         }
         self.emb_ln.forward_into(&scratch.x_next, &mut scratch.x);
 
-        for layer in &self.layers {
+        for (layer, [wq, wk, wv, wo, ff1, ff2]) in self.layers.iter().zip(layers) {
             // Attention. Q/K/V projections fuse across all sequences (the
             // kernels are row-independent); scores/softmax/AV run per
             // sequence block on the same kernels the per-sequence forward
             // uses, so each block is bit-identical to a lone call.
-            layer.attn.wq.forward_into(&scratch.x, &mut scratch.q);
-            layer.attn.wk.forward_into(&scratch.x, &mut scratch.k);
-            layer.attn.wv.forward_into(&scratch.x, &mut scratch.v);
+            wq.project_into(&scratch.x, &mut scratch.xq, &mut scratch.q);
+            wk.project_into(&scratch.x, &mut scratch.xq, &mut scratch.k);
+            wv.project_into(&scratch.x, &mut scratch.xq, &mut scratch.v);
             let heads = layer.attn.heads();
             let hd = layer.attn.head_dim();
             let scale = 1.0 / (hd as f32).sqrt();
@@ -237,14 +276,14 @@ impl BertMlmModel {
                     }
                 }
             }
-            layer.attn.wo.forward_into(&scratch.concat, &mut scratch.attn_y);
+            wo.project_into(&scratch.concat, &mut scratch.xq, &mut scratch.attn_y);
             // First residual + LN1.
             add_into(&scratch.x, &scratch.attn_y, &mut scratch.res);
             layer.ln1.forward_into(&scratch.res, &mut scratch.h);
             // Feed-forward.
-            layer.ff1.forward_into(&scratch.h, &mut scratch.ff_pre);
+            ff1.project_into(&scratch.h, &mut scratch.xq, &mut scratch.ff_pre);
             gelu_forward_into(&scratch.ff_pre, &mut scratch.ff_act);
-            layer.ff2.forward_into(&scratch.ff_act, &mut scratch.ff_out);
+            ff2.project_into(&scratch.ff_act, &mut scratch.xq, &mut scratch.ff_out);
             // Second residual + LN2 straight into the next activations.
             add_into(&scratch.h, &scratch.ff_out, &mut scratch.res);
             layer.ln2.forward_into(&scratch.res, &mut scratch.x_next);
@@ -254,13 +293,9 @@ impl BertMlmModel {
         // Masked-row head: one hidden × vocab matvec + bias + softmax per
         // request — never the full `[rows, vocab]` logits.
         scratch.probs.reset_zeroed(reqs.len(), vocab);
-        let bias = self.out.bias.w.row(0);
         for (j, &row) in scratch.mask_rows.iter().enumerate() {
             let out_row = scratch.probs.row_mut(j);
-            scratch.x.matmul_row_into(row, &self.out.weight.w, out_row);
-            for (o, &b) in out_row.iter_mut().zip(bias) {
-                *o += b;
-            }
+            head.project_row_into(&scratch.x, row, &mut scratch.xq, out_row);
             softmax_slice(out_row);
         }
         &scratch.probs

@@ -79,7 +79,7 @@ pub fn vmin(a: f32, b: f32) -> f32 {
 ///
 /// Every backend's vectorized exponential must replay exactly these
 /// operations in this order; `simd::avx2::exp_ps` is the 8-lane replica
-/// and the bit-identity proptests compare them across the full input
+/// and the bit-identity property tests compare them across the full input
 /// range.
 #[inline]
 pub fn exp_f32(x: f32) -> f32 {

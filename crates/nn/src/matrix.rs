@@ -208,12 +208,6 @@ impl Matrix {
         simd::add_assign(&mut self.data, &other.data);
     }
 
-    /// Element-wise `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        simd::axpy(&mut self.data, scale, &other.data);
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&mut self, s: f32) {
         simd::scale(&mut self.data, s);

@@ -38,8 +38,9 @@
 //! with the f32 model drops below the configured bound.
 
 use crate::bert::BertMlmModel;
-use crate::infer::{add_into, InferScratch};
-use crate::layers::{gelu_forward_into, softmax_rows, softmax_slice, Linear};
+use crate::encoder::EncoderLayer;
+use crate::infer::{InferScratch, Projection};
+use crate::layers::Linear;
 use crate::matrix::Matrix;
 use crate::simd;
 use std::sync::Arc;
@@ -306,15 +307,19 @@ impl QuantizedLinear {
     }
 }
 
-/// The quantized projections of one encoder layer.
+/// The quantized projections of one encoder layer, in
+/// [`crate::encoder::EncoderLayer::projections`] order.
 #[derive(Debug, Clone)]
-struct QuantizedLayer {
-    wq: QuantizedLinear,
-    wk: QuantizedLinear,
-    wv: QuantizedLinear,
-    wo: QuantizedLinear,
-    ff1: QuantizedLinear,
-    ff2: QuantizedLinear,
+struct QuantizedLayer([QuantizedLinear; 6]);
+
+impl Projection for QuantizedLinear {
+    fn project_into(&self, x: &Matrix, xq: &mut Vec<i8>, out: &mut Matrix) {
+        self.forward_into(x, xq, out);
+    }
+
+    fn project_row_into(&self, x: &Matrix, row: usize, xq: &mut Vec<i8>, out: &mut [f32]) {
+        self.forward_row_into(x.row(row), xq, out);
+    }
 }
 
 /// All int8 weights of a BERT MLM: the per-layer projections plus the
@@ -332,14 +337,7 @@ impl QuantizedBertMlm {
         let layers = model
             .layers
             .iter()
-            .map(|l| QuantizedLayer {
-                wq: QuantizedLinear::from_linear(&l.attn.wq),
-                wk: QuantizedLinear::from_linear(&l.attn.wk),
-                wv: QuantizedLinear::from_linear(&l.attn.wv),
-                wo: QuantizedLinear::from_linear(&l.attn.wo),
-                ff1: QuantizedLinear::from_linear(&l.ff1),
-                ff2: QuantizedLinear::from_linear(&l.ff2),
-            })
+            .map(|l| QuantizedLayer(l.projections().map(QuantizedLinear::from_linear)))
             .collect();
         Self {
             layers,
@@ -352,14 +350,8 @@ impl QuantizedBertMlm {
         let per_layer: usize = self
             .layers
             .iter()
-            .map(|l| {
-                l.wq.weight_bytes()
-                    + l.wk.weight_bytes()
-                    + l.wv.weight_bytes()
-                    + l.wo.weight_bytes()
-                    + l.ff1.weight_bytes()
-                    + l.ff2.weight_bytes()
-            })
+            .flat_map(|l| &l.0)
+            .map(QuantizedLinear::weight_bytes)
             .sum();
         per_layer + self.head.weight_bytes()
     }
@@ -378,13 +370,8 @@ impl QuantizedBertMlm {
         let mut out = Vec::new();
         out.extend_from_slice(&QPACK_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.layers.len() as u32).to_le_bytes());
-        for layer in &self.layers {
-            layer.wq.write_packed(&mut out);
-            layer.wk.write_packed(&mut out);
-            layer.wv.write_packed(&mut out);
-            layer.wo.write_packed(&mut out);
-            layer.ff1.write_packed(&mut out);
-            layer.ff2.write_packed(&mut out);
+        for projection in self.layers.iter().flat_map(|l| &l.0) {
+            projection.write_packed(&mut out);
         }
         self.head.write_packed(&mut out);
         out
@@ -413,14 +400,15 @@ impl QuantizedBertMlm {
         }
         let mut layers = Vec::with_capacity(n_layers);
         for _ in 0..n_layers {
-            layers.push(QuantizedLayer {
-                wq: QuantizedLinear::read_packed(&mut cur)?,
-                wk: QuantizedLinear::read_packed(&mut cur)?,
-                wv: QuantizedLinear::read_packed(&mut cur)?,
-                wo: QuantizedLinear::read_packed(&mut cur)?,
-                ff1: QuantizedLinear::read_packed(&mut cur)?,
-                ff2: QuantizedLinear::read_packed(&mut cur)?,
-            });
+            let mut read = || QuantizedLinear::read_packed(&mut cur);
+            layers.push(QuantizedLayer([
+                read()?,
+                read()?,
+                read()?,
+                read()?,
+                read()?,
+                read()?,
+            ]));
         }
         let head = QuantizedLinear::read_packed(&mut cur)?;
         cur.finish()?;
@@ -437,27 +425,20 @@ impl QuantizedBertMlm {
         let fits = |q: &QuantizedLinear, l: &Linear| {
             q.in_dim == l.weight.w.rows() && q.out_dim == l.weight.w.cols()
         };
-        self.layers.iter().zip(&model.layers).all(|(q, l)| {
-            fits(&q.wq, &l.attn.wq)
-                && fits(&q.wk, &l.attn.wk)
-                && fits(&q.wv, &l.attn.wv)
-                && fits(&q.wo, &l.attn.wo)
-                && fits(&q.ff1, &l.ff1)
-                && fits(&q.ff2, &l.ff2)
-        }) && fits(&self.head, &model.out)
+        let layer_fits = |(q, l): (&QuantizedLayer, &EncoderLayer)| {
+            q.0.iter().zip(l.projections()).all(|(q, l)| fits(q, l))
+        };
+        self.layers.iter().zip(&model.layers).all(layer_fits) && fits(&self.head, &model.out)
     }
 
     /// Whether any projection serves its codes as a zero-copy view.
     pub fn codes_are_borrowed(&self) -> bool {
         self.head.codes_are_borrowed()
-            || self.layers.iter().any(|l| {
-                l.wq.codes_are_borrowed()
-                    || l.wk.codes_are_borrowed()
-                    || l.wv.codes_are_borrowed()
-                    || l.wo.codes_are_borrowed()
-                    || l.ff1.codes_are_borrowed()
-                    || l.ff2.codes_are_borrowed()
-            })
+            || self
+                .layers
+                .iter()
+                .flat_map(|l| &l.0)
+                .any(QuantizedLinear::codes_are_borrowed)
     }
 }
 
@@ -556,12 +537,11 @@ impl BertMlmModel {
             .row(0)
     }
 
-    /// Quantized batched prediction: the int8 counterpart of
-    /// [`BertMlmModel::predict_batch_with`]. The forward is structurally
-    /// identical — same embedding gather, per-block attention, residuals,
-    /// LayerNorm, GELU, and masked-row head — but every weight matmul runs
-    /// through the corresponding [`QuantizedLinear`]. Outputs approximate
-    /// the f32 path; closeness is enforced upstream by the accuracy gate.
+    /// Quantized batched prediction: [`BertMlmModel::predict_batch_with`]'s
+    /// forward with every weight matmul (six projections per layer and the
+    /// masked-row head) run through the corresponding [`QuantizedLinear`].
+    /// Outputs approximate the f32 path; closeness is enforced upstream by
+    /// the accuracy gate.
     pub fn predict_batch_quant_with<'s>(
         &self,
         quant: &QuantizedBertMlm,
@@ -573,113 +553,8 @@ impl BertMlmModel {
             self.layers.len(),
             "quantized weights do not match this model"
         );
-        let hidden = self.config.hidden;
-        let vocab = self.config.vocab_size;
-        scratch.ids.clear();
-        scratch.seqs.clear();
-        scratch.mask_rows.clear();
-        for (ids, pos) in reqs {
-            assert!(
-                ids.len() <= self.config.max_seq_len,
-                "sequence length {} exceeds max {}",
-                ids.len(),
-                self.config.max_seq_len
-            );
-            assert!(!ids.is_empty(), "empty sequence");
-            assert!(*pos < ids.len(), "position {pos} out of range");
-            let start = scratch.ids.len();
-            scratch.ids.extend_from_slice(ids);
-            scratch.seqs.push((start, ids.len()));
-            scratch.mask_rows.push(start + pos);
-        }
-        let rows = scratch.ids.len();
-        if rows == 0 {
-            scratch.probs.reset_zeroed(0, vocab);
-            return &scratch.probs;
-        }
-
-        // Embeddings + LN: identical to the f32 path (not quantized).
-        scratch.x_next.reset_zeroed(rows, hidden);
-        let tok = &self.tok_emb.table.w;
-        let pos_table = &self.pos_emb.table.w;
-        for &(start, len) in &scratch.seqs {
-            for i in 0..len {
-                let id = scratch.ids[start + i] as usize;
-                debug_assert!(id < tok.rows(), "token id {id} out of vocab {}", tok.rows());
-                let row = scratch.x_next.row_mut(start + i);
-                row.copy_from_slice(tok.row(id));
-                simd::add_assign(row, pos_table.row(i));
-            }
-        }
-        self.emb_ln.forward_into(&scratch.x_next, &mut scratch.x);
-
-        for (layer, qlayer) in self.layers.iter().zip(&quant.layers) {
-            // Attention with quantized projections; score/softmax/AV math
-            // stays f32.
-            qlayer.wq.forward_into(&scratch.x, &mut scratch.xq, &mut scratch.q);
-            qlayer.wk.forward_into(&scratch.x, &mut scratch.xq, &mut scratch.k);
-            qlayer.wv.forward_into(&scratch.x, &mut scratch.xq, &mut scratch.v);
-            let heads = layer.attn.heads();
-            let hd = layer.attn.head_dim();
-            let scale = 1.0 / (hd as f32).sqrt();
-            scratch.concat.reset_zeroed(rows, hidden);
-            for &(start, len) in &scratch.seqs {
-                for head in 0..heads {
-                    let cols = head * hd..(head + 1) * hd;
-                    scratch.qh.reset_zeroed(len, hd);
-                    scratch.kh.reset_zeroed(len, hd);
-                    scratch.vh.reset_zeroed(len, hd);
-                    for r in 0..len {
-                        scratch
-                            .qh
-                            .row_mut(r)
-                            .copy_from_slice(&scratch.q.row(start + r)[cols.clone()]);
-                        scratch
-                            .kh
-                            .row_mut(r)
-                            .copy_from_slice(&scratch.k.row(start + r)[cols.clone()]);
-                        scratch
-                            .vh
-                            .row_mut(r)
-                            .copy_from_slice(&scratch.v.row(start + r)[cols.clone()]);
-                    }
-                    scratch.qh.matmul_nt_into(&scratch.kh, &mut scratch.scores);
-                    scratch.scores.scale(scale);
-                    softmax_rows(&mut scratch.scores);
-                    scratch.scores.matmul_into(&scratch.vh, &mut scratch.head_out);
-                    for r in 0..len {
-                        scratch.concat.row_mut(start + r)[cols.clone()]
-                            .copy_from_slice(scratch.head_out.row(r));
-                    }
-                }
-            }
-            qlayer
-                .wo
-                .forward_into(&scratch.concat, &mut scratch.xq, &mut scratch.attn_y);
-            add_into(&scratch.x, &scratch.attn_y, &mut scratch.res);
-            layer.ln1.forward_into(&scratch.res, &mut scratch.h);
-            qlayer
-                .ff1
-                .forward_into(&scratch.h, &mut scratch.xq, &mut scratch.ff_pre);
-            gelu_forward_into(&scratch.ff_pre, &mut scratch.ff_act);
-            qlayer
-                .ff2
-                .forward_into(&scratch.ff_act, &mut scratch.xq, &mut scratch.ff_out);
-            add_into(&scratch.h, &scratch.ff_out, &mut scratch.res);
-            layer.ln2.forward_into(&scratch.res, &mut scratch.x_next);
-            std::mem::swap(&mut scratch.x, &mut scratch.x_next);
-        }
-
-        // Quantized masked-row head (bias is inside the quantized layer).
-        scratch.probs.reset_zeroed(reqs.len(), vocab);
-        for (j, &row) in scratch.mask_rows.iter().enumerate() {
-            let out_row = scratch.probs.row_mut(j);
-            quant
-                .head
-                .forward_row_into(scratch.x.row(row), &mut scratch.xq, out_row);
-            softmax_slice(out_row);
-        }
-        &scratch.probs
+        let layers = quant.layers.iter().map(|l| l.0.each_ref());
+        self.forward_batch(scratch, reqs, layers, &quant.head)
     }
 }
 

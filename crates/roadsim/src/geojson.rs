@@ -67,6 +67,17 @@ mod tests {
     use super::*;
     use crate::citygen::{generate_city, CityConfig};
     use kamel_geo::{GpsPoint, LatLng};
+    use serde::de::DeserializeOwned;
+    use std::collections::HashMap;
+
+    /// A GeoJSON object as its members; each is decoded to the type the
+    /// assertion needs (`type` is a keyword, so no struct field can name it).
+    type Object = HashMap<String, Value>;
+
+    fn member<T: DeserializeOwned>(object: &Object, key: &str) -> T {
+        serde_json::from_value(object[key].clone())
+            .unwrap_or_else(|e| panic!("member `{key}`: {e}"))
+    }
 
     #[test]
     fn network_geojson_structure() {
@@ -80,16 +91,15 @@ mod tests {
             ..CityConfig::default()
         });
         let proj = LocalProjection::new(LatLng::new(41.15, -8.61));
-        let doc = network_to_geojson(&net, &proj);
-        assert_eq!(doc["type"], "FeatureCollection");
-        let features = doc["features"].as_array().expect("features array");
+        let doc: Object = serde_json::from_value(network_to_geojson(&net, &proj)).unwrap();
+        assert_eq!(member::<String>(&doc, "type"), "FeatureCollection");
+        let features: Vec<Object> = member(&doc, "features");
         assert_eq!(features.len(), net.edge_count());
-        let geom = &features[0]["geometry"];
-        assert_eq!(geom["type"], "LineString");
+        let geom: Object = member(&features[0], "geometry");
+        assert_eq!(member::<String>(&geom, "type"), "LineString");
         // RFC 7946 coordinate order: [lng, lat].
-        let first = geom["coordinates"][0].as_array().unwrap();
-        let lng = first[0].as_f64().unwrap();
-        let lat = first[1].as_f64().unwrap();
+        let coordinates: Vec<(f64, f64)> = member(&geom, "coordinates");
+        let (lng, lat) = coordinates[0];
         assert!((-9.0..-8.0).contains(&lng), "lng {lng}");
         assert!((41.0..42.0).contains(&lat), "lat {lat}");
     }
@@ -104,12 +114,14 @@ mod tests {
             Trajectory::new(vec![GpsPoint::from_parts(41.2, -8.5, 5.0)]),
             Trajectory::default(), // dropped
         ];
-        let doc = trajectories_to_geojson(&trajs);
-        let features = doc["features"].as_array().unwrap();
+        let doc: Object = serde_json::from_value(trajectories_to_geojson(&trajs)).unwrap();
+        let features: Vec<Object> = member(&doc, "features");
         assert_eq!(features.len(), 2);
-        assert_eq!(features[0]["geometry"]["type"], "LineString");
-        assert_eq!(features[0]["properties"]["points"], 2);
-        assert_eq!(features[0]["properties"]["t_end"], 60.0);
-        assert_eq!(features[1]["geometry"]["type"], "Point");
+        let geometry_type = |f: &Object| member::<String>(&member::<Object>(f, "geometry"), "type");
+        assert_eq!(geometry_type(&features[0]), "LineString");
+        let properties: Object = member(&features[0], "properties");
+        assert_eq!(member::<u64>(&properties, "points"), 2);
+        assert_eq!(member::<f64>(&properties, "t_end"), 60.0);
+        assert_eq!(geometry_type(&features[1]), "Point");
     }
 }

@@ -148,12 +148,6 @@ impl ShardMap {
         Self::from_json_str(&text)
     }
 
-    /// Pins the `/v1/info` config digest shards must report.
-    pub fn with_expected_digest(mut self, digest: Option<String>) -> Self {
-        self.expected_digest = digest;
-        self
-    }
-
     /// The fleet, in map order (health state is indexed the same way).
     pub fn shards(&self) -> &[ShardInfo] {
         &self.shards

@@ -85,7 +85,6 @@ mod sys {
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
 
     /// The kernel's `struct epoll_event`. The kernel packs it ONLY on
     /// x86-64 (`EPOLL_PACKED`); on every other architecture `data` sits
@@ -135,10 +134,6 @@ mod sys {
 
         pub fn register(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, events, token)
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, events, token)
         }
 
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
@@ -329,17 +324,6 @@ mod sys {
             self.apply(&mut changes)
         }
 
-        pub fn reregister(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            // EV_ADD on an existing (fd, filter) updates it in place; an
-            // interest dropped to zero is deleted best-effort.
-            self.register(fd, token, events)?;
-            if events & 2 == 0 {
-                let mut del = [Event::change(fd, EVFILT_WRITE, EV_DELETE | EV_RECEIPT, 0)];
-                let _ = self.apply(&mut del);
-            }
-            Ok(())
-        }
-
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             // Closing the fd removes its kevents; explicit deletes are
             // best-effort cleanup for callers that keep the fd open.
@@ -464,11 +448,6 @@ impl Poller {
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         debug_assert_ne!(token, WAKE_TOKEN, "WAKE_TOKEN is reserved");
         self.selector.register(fd, token, sys::event_mask(interest))
-    }
-
-    /// Changes the interest set of a registered fd.
-    pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.selector.reregister(fd, token, sys::event_mask(interest))
     }
 
     /// Stops watching `fd` (also implicit when the fd is closed).

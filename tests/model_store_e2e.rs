@@ -10,8 +10,9 @@ use kamel::{Kamel, KamelConfig};
 use kamel_geo::{GpsPoint, Trajectory};
 use kamel_lm::{BertEngineConfig, EngineConfig};
 use kamel_store::{load_kamel, pack, pack_bytes, Store, StoreError, FLAG_QUANT};
-use proptest::prelude::*;
 use std::path::PathBuf;
+
+include!("common/cases.rs");
 
 /// `expect_err` without requiring `Kamel: Debug`.
 fn must_fail(result: Result<Kamel, StoreError>, what: &str) -> StoreError {
@@ -279,26 +280,23 @@ fn repack_write_fault_leaves_the_previous_store_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Pack → open → materialize round-trips bit-identical predictions
-    /// against the heap repository for arbitrary sparsification of the
-    /// training streets.
-    #[test]
-    fn pack_round_trip_is_bit_identical(
-        gap_m in 300.0f64..1200.0,
-        lat_idx in 0usize..2,
-        budget_div in 1u64..4,
-    ) {
+/// Pack → open → materialize round-trips bit-identical predictions
+/// against the heap repository for arbitrary sparsification of the
+/// training streets. Reproduces `ProptestConfig::with_cases(6)` over
+/// `gap_m` 300..1200, street index 0..2, budget divisor 1..4.
+#[test]
+fn pack_round_trip_is_bit_identical() {
+    for_each_case(6, |g| {
+        let gap_m = g.f64_in(300.0..1200.0);
+        let lat = [41.15, 41.25][g.usize_in(0..2)];
+        let budget_div = g.usize_in(1..4) as u64;
         let heap = district_kamel();
         let dir = tmp_dir("prop");
         let path = dir.join("prop.kstore");
         let stats = pack(&heap, &path).expect("pack");
         let stored = load_kamel(&path, Some(stats.bytes / budget_div)).expect("load");
-        let lat = [41.15, 41.25][lat_idx];
         let sparse = street(lat, -8.61, 25).sparsify(gap_m);
-        prop_assert_eq!(heap.impute(&sparse), stored.impute(&sparse));
+        assert_eq!(heap.impute(&sparse), stored.impute(&sparse));
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
 }
