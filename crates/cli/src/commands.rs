@@ -433,9 +433,12 @@ fn parse_byte_size(s: &str) -> Result<u64, String> {
 pub fn pack(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let help = "kamel pack --model FILE --out FILE.kstore\n\n\
         packs a trained checkpoint into a single mmap-ready model store:\n\
-        a CRC-checked index over per-cell records (serialized model +\n\
-        packed int8 weights when the checkpointed system is quantized)\n\
-        that `kamel serve --store` maps and materializes lazily";
+        a CRC-checked index over per-cell records that `kamel serve --store`\n\
+        maps and materializes lazily. A BERT cell's weights are stored as raw\n\
+        f32 tensors (plus packed int8 weights when the checkpointed system is\n\
+        quantized), an n-gram cell as JSON; the report line says how many\n\
+        bytes of the file each kind of section took. A store written by an\n\
+        older format version is refused at load: re-pack it from its checkpoint";
     let Some(flags) = Flags::parse("pack", help, &["--model", "--out"], &[], args, out)? else {
         return Ok(());
     };
@@ -449,8 +452,14 @@ pub fn pack(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         kamel_store::pack(&kamel, Path::new(out_path)).map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
-        "packed {} models ({} with int8 weights, {} bytes) -> {out_path}",
-        stats.models, stats.quant_models, stats.bytes
+        "packed {} models ({} with int8 weights, {} bytes: json {}, tensors {}, int8 {}) \
+         -> {out_path}",
+        stats.models,
+        stats.quant_models,
+        stats.bytes,
+        stats.json_bytes,
+        stats.tensor_bytes,
+        stats.int8_bytes
     );
     Ok(())
 }
@@ -476,7 +485,8 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         --model (or remaps --store, picking up a re-packed file);\n\
         --store serves a `kamel pack` model store via mmap, materializing\n\
         models lazily under --model-memory-budget (e.g. 512k, 64m, 2g;\n\
-        default: the packed config's budget, else unbounded);\n\
+        default: the packed config's budget, else unbounded; a model costs\n\
+        its record's size, which for BERT is the f32 weights it holds);\n\
         --shard-id/--shard-of label this process as member N of a\n\
         fleet of M behind `kamel route` (advertised on /v1/info); --quantize\n\
         serves BERT models through int8 weights when the accuracy gate passes\n\

@@ -30,7 +30,7 @@ use crate::source::{ModelSource, ResidencyStats};
 use crate::tokenize::Tokenizer;
 use kamel_geo::{BBox, GpsPoint, LatLng, Trajectory, Xy};
 use kamel_hexgrid::CellId;
-use kamel_lm::MaskedTokenModel;
+use kamel_lm::{MaskedTokenModel, TrainedModel};
 use kamel_trajstore::TrajStore;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -654,29 +654,40 @@ impl Kamel {
         serde_json::to_string(&doc).map_err(|e| KamelError::Persistence(e.to_string()))
     }
 
-    /// Every stored model as a `(selection, serialized entry, int8
-    /// artifact)` export, in [`Repository::model_keys`] order — the
-    /// per-cell records `kamel pack` writes. The entry JSON is the same
-    /// serde form the heap repository persists, so a store materializing
-    /// it deserializes the *identical* model; the artifact (BERT engines
-    /// only) additionally packs the int8 weights so quantized serving
-    /// reads them zero-copy out of the mapped file.
+    /// Every stored model as the sections of its store record, in
+    /// [`Repository::model_keys`] order — what `kamel pack` frames per
+    /// cell. A BERT model's weights leave as bytes
+    /// ([`kamel_lm::BertMlm::write_record`]: raw f32 tensors, vocabulary,
+    /// token count) beside the small [`ModelMeta`](crate::partition::ModelMeta)
+    /// JSON, plus the int8 artifact it serves with, if any; an n-gram
+    /// model has no tensors and leaves as its whole `ModelEntry` JSON.
+    /// Either way a store materializing the record rebuilds the
+    /// *identical* model.
     pub fn export_models(&self) -> Result<Vec<ExportedModel>, KamelError> {
         let guard = self.state();
         let Some(state) = guard.as_ref() else {
             return Err(KamelError::NotTrained);
         };
+        let persist = |e: serde_json::Error| KamelError::Persistence(e.to_string());
         let mut out = Vec::new();
         for selection in state.repo.model_keys() {
             let entry = state
                 .repo
                 .entry(selection)
                 .expect("model_keys lists only stored entries");
-            let entry_json = serde_json::to_string(entry)
-                .map_err(|e| KamelError::Persistence(e.to_string()))?;
+            let (json, tensors) = match &entry.model {
+                TrainedModel::Bert(bert) => (
+                    serde_json::to_string(&entry.meta).map_err(persist)?,
+                    bert.write_record(),
+                ),
+                TrainedModel::Ngram(_) => {
+                    (serde_json::to_string(entry).map_err(persist)?, Vec::new())
+                }
+            };
             out.push(ExportedModel {
                 selection,
-                entry_json,
+                json,
+                tensors,
                 quant: entry.model.quant_artifact(),
             });
         }
@@ -793,9 +804,13 @@ struct PersistedKamel {
 pub struct ExportedModel {
     /// Which pyramid slot the model occupies.
     pub selection: ModelSelection,
-    /// The serialized [`crate::partition::ModelEntry`] — the byte-for-byte
-    /// serde form the heap repository would persist.
-    pub entry_json: String,
+    /// The record's JSON section: the entry's
+    /// [`ModelMeta`](crate::partition::ModelMeta) when `tensors` carries
+    /// the model, the whole serialized
+    /// [`ModelEntry`](crate::partition::ModelEntry) when it does not.
+    pub json: String,
+    /// The model as a binary record (BERT engines; empty for n-gram).
+    pub tensors: Vec<u8>,
     /// Packed-ready int8 weights (BERT engines only).
     pub quant: Option<kamel_nn::QuantizedBertMlm>,
 }

@@ -8,7 +8,8 @@
 use crate::vocab::Vocab;
 use crate::{Candidate, MaskedTokenModel};
 use kamel_nn::{
-    BertConfig, BertMlmModel, InferScratch, MlmBatcher, QuantizedBertMlm, TrainOptions, Trainer,
+    BertConfig, BertMlmModel, ByteSource, InferScratch, MlmBatcher, PackCursor, QuantizedBertMlm,
+    TrainOptions, Trainer,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -120,7 +121,7 @@ impl BertMlm {
             sequences.push(ids);
         }
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let bert_config = config.bert_config(vocab.total_len().max(Vocab::FIRST_REGULAR as usize + 1));
+        let bert_config = config.bert_config(Self::network_vocab_size(vocab.regular_len()));
         let mut model = BertMlmModel::new(bert_config, &mut rng);
         if !sequences.is_empty() && !vocab.is_empty() {
             let trainer = Trainer::new(
@@ -253,6 +254,64 @@ impl BertMlm {
             }
         }
         agree as f64 / probes as f64
+    }
+
+    /// Renders this model as one binary record: the network's f32 tensor
+    /// section ([`BertMlmModel::write_tensors`]), then the vocabulary as
+    /// `u64 count | u64 keys…` in id order, then `u64 trained_tokens` —
+    /// all little-endian, every field 8-byte aligned from the record's
+    /// start. The int8 artifact is not part of it (it packs separately,
+    /// see [`QuantizedBertMlm::write_packed`]).
+    pub fn write_record(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.model.write_tensors(&mut out);
+        out.extend_from_slice(&(self.vocab.regular_len() as u64).to_le_bytes());
+        for key in self.vocab.keys() {
+            out.extend_from_slice(&key.to_le_bytes());
+        }
+        out.extend_from_slice(&self.trained_tokens.to_le_bytes());
+        out
+    }
+
+    /// Reads a [`BertMlm::write_record`] record from `len` bytes at
+    /// `offset` of `buf` — a validated copy, not a parse: weights and keys
+    /// are copied into owned buffers, and the model comes back serving f32
+    /// with no optimizer state. The vocabulary must be the size the
+    /// network's head was built for and exactly fill the rest of the
+    /// record (checked before its keys are allocated); a short record or a
+    /// trailing byte is an error.
+    pub fn read_record(
+        buf: &Arc<dyn ByteSource>,
+        offset: usize,
+        len: usize,
+    ) -> Result<Self, String> {
+        let mut cur = PackCursor::new(buf, offset, len)?;
+        let model = BertMlmModel::read_tensors(&mut cur)?;
+        let keys = usize::try_from(cur.read_u64()?)
+            .ok()
+            .filter(|n| n.checked_mul(8).and_then(|b| b.checked_add(8)) == Some(cur.remaining()))
+            .ok_or("vocabulary does not fill the rest of the record")?;
+        if Self::network_vocab_size(keys) != model.config.vocab_size {
+            return Err(format!(
+                "a vocabulary of {keys} keys does not fit a network head of {}",
+                model.config.vocab_size
+            ));
+        }
+        let vocab = Vocab::from_keys(cur.read_u64s(keys)?)?;
+        let trained_tokens = cur.read_u64()?;
+        cur.finish()?;
+        Ok(Self {
+            vocab,
+            model,
+            trained_tokens,
+            quant: None,
+        })
+    }
+
+    /// The network's vocabulary size for `regular` regular tokens: the
+    /// specials plus the regulars, and never an empty regular range.
+    fn network_vocab_size(regular: usize) -> usize {
+        (Vocab::FIRST_REGULAR as usize + regular).max(Vocab::FIRST_REGULAR as usize + 1)
     }
 
     /// Trainable parameter count of the underlying network.
@@ -609,6 +668,68 @@ mod tests {
         // The int8 artifact is derived state: it does not persist and must
         // be re-enabled (and re-gated) after a load.
         assert!(!back.is_quantized());
+    }
+
+    fn read_back(record: Vec<u8>) -> Result<BertMlm, String> {
+        let len = record.len();
+        let buf: Arc<dyn ByteSource> = Arc::new(record);
+        BertMlm::read_record(&buf, 0, len)
+    }
+
+    #[test]
+    fn binary_record_round_trips_predictions_bit_identically() {
+        let corpus: Vec<Vec<u64>> = (0..30).map(|_| vec![11u64, 22, 33, 44, 55]).collect();
+        let model = BertMlm::train(&BertEngineConfig::for_tests(), &corpus);
+        let record = model.write_record();
+        assert_eq!(record.len() % 8, 0, "fields sit on 8-byte boundaries");
+        let back = read_back(record).expect("a written record reads back");
+        assert_eq!(back.vocab().keys(), model.vocab().keys());
+        assert_eq!(back.trained_tokens(), model.trained_tokens());
+        assert!(!back.is_quantized());
+        for (seq, pos) in [(vec![11u64, 22, 0, 44, 55], 2), (vec![777, 0, 33], 1)] {
+            let want = model.predict_masked(&seq, pos, 5);
+            let got = back.predict_masked(&seq, pos, 5);
+            assert_eq!(want.len(), got.len());
+            for (a, b) in want.iter().zip(&got) {
+                assert_eq!((a.key, a.prob.to_bits()), (b.key, b.prob.to_bits()));
+            }
+        }
+        // An untrained model (no regular token) is a valid record too.
+        let empty = BertMlm::train(&BertEngineConfig::for_tests(), &[]);
+        let empty = read_back(empty.write_record()).expect("empty");
+        assert_eq!(empty.vocab_len(), 0);
+    }
+
+    #[test]
+    fn binary_record_rejects_a_vocabulary_that_does_not_fit() {
+        let corpus: Vec<Vec<u64>> = (0..10).map(|_| vec![7u64, 8, 9]).collect();
+        let record = BertMlm::train(&BertEngineConfig::for_tests(), &corpus).write_record();
+        // Layout tail: … | count u64 | 3 keys | trained_tokens u64.
+        let count_at = record.len() - 8 * 5;
+
+        let mut extended = record.clone();
+        extended.extend_from_slice(&[0u8; 8]);
+        assert!(read_back(extended).is_err(), "a trailing word was accepted");
+        assert!(read_back(record[..record.len() - 1].to_vec()).is_err());
+
+        // One key fewer, with the record shortened to match: the framing is
+        // consistent, but the network's head was built for three.
+        let mut fewer = record.clone();
+        fewer[count_at..count_at + 8].copy_from_slice(&2u64.to_le_bytes());
+        fewer.drain(count_at + 8..count_at + 16);
+        let err = read_back(fewer).expect_err("vocabulary smaller than the head");
+        assert!(err.contains("does not fit"), "{err}");
+
+        // A count that claims more than the record holds never allocates.
+        let mut huge = record.clone();
+        huge[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(read_back(huge).is_err());
+
+        let mut repeated = record.clone();
+        let first_key = record[count_at + 8..count_at + 16].to_vec();
+        repeated[count_at + 16..count_at + 24].copy_from_slice(&first_key);
+        let err = read_back(repeated).expect_err("repeated key");
+        assert!(err.contains("repeats"), "{err}");
     }
 
     #[test]

@@ -33,6 +33,30 @@ impl Vocab {
         Self::default()
     }
 
+    /// Rebuilds a vocabulary from its regular keys in id order (what
+    /// [`Vocab::keys`] hands out); a repeated key is an error.
+    pub fn from_keys(keys: Vec<u64>) -> Result<Self, String> {
+        if keys.len() > (u32::MAX - Self::FIRST_REGULAR) as usize {
+            return Err(format!("{} keys exceed the id space", keys.len()));
+        }
+        let mut forward = HashMap::with_capacity(keys.len());
+        for (i, &key) in keys.iter().enumerate() {
+            let id = Self::FIRST_REGULAR + i as u32;
+            if forward.insert(key, id).is_some() {
+                return Err(format!("vocabulary repeats key {key}"));
+            }
+        }
+        Ok(Self {
+            forward,
+            backward: keys,
+        })
+    }
+
+    /// The regular keys, in id order starting at [`Vocab::FIRST_REGULAR`].
+    pub fn keys(&self) -> &[u64] {
+        &self.backward
+    }
+
     /// Returns the id for `key`, inserting it if unseen.
     pub fn get_or_insert(&mut self, key: u64) -> u32 {
         if let Some(&id) = self.forward.get(&key) {
@@ -109,6 +133,21 @@ mod tests {
         assert_eq!(v.key_of(Vocab::MASK), None);
         assert_eq!(v.key_of(Vocab::FIRST_REGULAR), Some(42));
         assert_eq!(v.key_of(Vocab::FIRST_REGULAR + 1), None);
+    }
+
+    #[test]
+    fn from_keys_rebuilds_the_same_mapping_and_rejects_repeats() {
+        let mut v = Vocab::new();
+        for key in [9u64, 3, 77, 0] {
+            v.get_or_insert(key);
+        }
+        let back = Vocab::from_keys(v.keys().to_vec()).expect("distinct keys");
+        for &key in v.keys() {
+            assert_eq!(back.id_of(key), v.id_of(key));
+            assert_eq!(back.key_of(v.id_of(key)), Some(key));
+        }
+        assert_eq!(back.total_len(), v.total_len());
+        assert!(Vocab::from_keys(vec![1, 2, 1]).is_err());
     }
 
     #[test]

@@ -62,6 +62,20 @@ impl MultiHeadAttention {
         }
     }
 
+    /// An attention block over existing `[wq, wk, wv, wo]` projections;
+    /// the caller has checked that their width divides by `heads`.
+    pub(crate) fn from_projections([wq, wk, wv, wo]: [Linear; 4], heads: usize) -> Self {
+        let head_dim = wq.weight.w.rows() / heads;
+        Self {
+            wq,
+            wk,
+            wv,
+            wo,
+            heads,
+            head_dim,
+        }
+    }
+
     /// Self-attention over `x: [n, hidden]`.
     ///
     /// `valid` marks real (non-padding) positions; keys at padded positions

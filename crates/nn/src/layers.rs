@@ -35,6 +35,30 @@ impl Param {
         }
     }
 
+    /// Wraps weights read back from a binary record for serving: the
+    /// gradient and both Adam moments are empty (0×0), so a resident model
+    /// costs its weights and nothing else. [`crate::train::Trainer::train`]
+    /// sizes them on entry, which keeps a served model trainable.
+    pub fn from_weights(w: Matrix) -> Self {
+        Self {
+            w,
+            g: Matrix::zeros(0, 0),
+            m: Matrix::zeros(0, 0),
+            v: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// Allocates zeroed gradient/moment buffers when this parameter came
+    /// from [`Param::from_weights`]; a no-op otherwise.
+    pub fn ensure_optimizer_state(&mut self) {
+        let (r, c) = (self.w.rows(), self.w.cols());
+        for state in [&mut self.g, &mut self.m, &mut self.v] {
+            if (state.rows(), state.cols()) != (r, c) {
+                *state = Matrix::zeros(r, c);
+            }
+        }
+    }
+
     /// Clears the gradient accumulator.
     pub fn zero_grad(&mut self) {
         self.g.fill_zero();
@@ -167,9 +191,17 @@ pub struct LnCache {
 impl LayerNorm {
     /// A fresh LayerNorm over `dim` features.
     pub fn new(dim: usize) -> Self {
+        Self::from_params(
+            Param::new(Matrix::from_fn(1, dim, |_, _| 1.0)),
+            Param::new(Matrix::zeros(1, dim)),
+        )
+    }
+
+    /// A LayerNorm over an existing scale and shift.
+    pub(crate) fn from_params(gamma: Param, beta: Param) -> Self {
         Self {
-            gamma: Param::new(Matrix::from_fn(1, dim, |_, _| 1.0)),
-            beta: Param::new(Matrix::zeros(1, dim)),
+            gamma,
+            beta,
             eps: 1e-5,
         }
     }

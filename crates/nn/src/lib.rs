@@ -32,6 +32,9 @@
 //!   per-output-row symmetric weight scales, dynamic activation
 //!   quantization, exact `i8×i8→i32` dots with one f32 rescale per
 //!   output element.
+//! * [`pack`] — weights as bytes: the bounds-checked record reader and
+//!   the raw little-endian f32 tensor section a model store keeps per
+//!   BERT model, validated against its own config on the way back in.
 //!
 //! The layer-by-layer backward design (rather than a taped autograd) keeps
 //! the code auditable and the memory profile flat, which matters when many
@@ -49,6 +52,7 @@ pub mod layers;
 pub mod math;
 pub mod matrix;
 pub mod optim;
+pub mod pack;
 pub mod quant;
 pub mod simd;
 pub mod train;
@@ -57,6 +61,7 @@ pub use bert::{BertConfig, BertMlmModel};
 pub use infer::InferScratch;
 pub use matrix::Matrix;
 pub use optim::Adam;
-pub use quant::{ByteSource, QuantizedBertMlm, QuantizedLinear, QPACK_VERSION};
+pub use pack::{ByteSource, PackCursor};
+pub use quant::{QuantizedBertMlm, QuantizedLinear, QPACK_VERSION};
 pub use simd::{active_isa, parse_simd_env, set_backend, supported_backends, Backend, EnvIsa};
 pub use train::{MlmBatcher, TrainOptions, Trainer};

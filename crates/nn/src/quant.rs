@@ -42,23 +42,9 @@ use crate::encoder::EncoderLayer;
 use crate::infer::{InferScratch, Projection};
 use crate::layers::Linear;
 use crate::matrix::Matrix;
+use crate::pack::{ByteSource, PackCursor};
 use crate::simd;
 use std::sync::Arc;
-
-/// Read-only backing bytes for zero-copy quantized weights — typically a
-/// memory-mapped model-store file. The returned slice must be stable for
-/// the source's lifetime (a mapping never moves; a `Vec` source must not
-/// be mutated, which `ByteSource` consumers cannot do through the trait).
-pub trait ByteSource: Send + Sync {
-    /// The full backing byte range.
-    fn bytes(&self) -> &[u8];
-}
-
-impl ByteSource for Vec<u8> {
-    fn bytes(&self) -> &[u8] {
-        self
-    }
-}
 
 /// Storage behind a quantized layer's `i8` codes: owned after
 /// quantization from f32 weights, or a borrowed view into a shared
@@ -244,10 +230,10 @@ impl QuantizedLinear {
         let scales = cur.read_f32s(out_dim)?;
         let bias = cur.read_f32s(out_dim)?;
         let (offset, len) = cur.take_codes(out_dim * in_dim)?;
-        cur.align4()?;
+        cur.align(4)?;
         Ok(Self {
             wq: CodeStore::Shared {
-                buf: Arc::clone(cur.buf),
+                buf: Arc::clone(cur.source()),
                 offset,
                 len,
             },
@@ -444,82 +430,6 @@ impl QuantizedBertMlm {
 
 /// Version tag of the packed quantized-weight record layout.
 pub const QPACK_VERSION: u32 = 1;
-
-/// Bounds-checked reader over one packed record inside a shared byte
-/// source. Offsets are absolute within the source, so code views built
-/// from the cursor address the source directly.
-struct PackCursor<'a> {
-    buf: &'a Arc<dyn ByteSource>,
-    start: usize,
-    pos: usize,
-    end: usize,
-}
-
-impl<'a> PackCursor<'a> {
-    fn new(buf: &'a Arc<dyn ByteSource>, offset: usize, len: usize) -> Result<Self, String> {
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= buf.bytes().len())
-            .ok_or_else(|| {
-                format!(
-                    "packed record [{offset}, +{len}) exceeds source of {} bytes",
-                    buf.bytes().len()
-                )
-            })?;
-        Ok(Self {
-            buf,
-            start: offset,
-            pos: offset,
-            end,
-        })
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let next = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.end)
-            .ok_or_else(|| "packed record truncated".to_string())?;
-        let slice = &self.buf.bytes()[self.pos..next];
-        self.pos = next;
-        Ok(slice)
-    }
-
-    fn read_u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn read_f32s(&mut self, n: usize) -> Result<Vec<f32>, String> {
-        let b = self.take(n.checked_mul(4).ok_or("packed record overflow")?)?;
-        Ok(b.chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-
-    /// Consumes `n` code bytes, returning their absolute (offset, len).
-    fn take_codes(&mut self, n: usize) -> Result<(usize, usize), String> {
-        let offset = self.pos;
-        self.take(n)?;
-        Ok((offset, n))
-    }
-
-    fn align4(&mut self) -> Result<(), String> {
-        let pad = (4 - (self.pos - self.start) % 4) % 4;
-        self.take(pad)?;
-        Ok(())
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos != self.end {
-            return Err(format!(
-                "packed record has {} trailing bytes",
-                self.end - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
 
 impl BertMlmModel {
     /// Quantized single prediction; the int8 counterpart of

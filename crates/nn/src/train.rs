@@ -181,6 +181,10 @@ impl Trainer {
                 }
             }
         }
+        // A model read back from a binary record carries no optimizer state.
+        for p in model.params() {
+            p.ensure_optimizer_state();
+        }
         let mut opt = Adam::new(self.options.lr);
         // BERT schedule: warmup then linear decay over the whole run.
         let steps_per_epoch = windows.len().div_ceil(self.options.batch_size.max(1));

@@ -160,3 +160,77 @@ fn dropout_expectation() {
         }
     });
 }
+
+/// `write_tensors` → `read_tensors` is the identity on bits for any model
+/// shape and any weight values — signed zeros, subnormals, infinities and
+/// NaN payloads included — and the reloaded model predicts the same bits.
+/// Runs under every `KAMEL_SIMD` the suite is run with.
+#[test]
+fn tensor_section_round_trips_bit_exactly() {
+    use kamel_nn::{BertConfig, BertMlmModel, ByteSource, InferScratch, PackCursor};
+    use std::sync::Arc;
+
+    const SPECIALS: [u32; 10] = [
+        0x8000_0000, // -0.0
+        0x0000_0001, // smallest subnormal
+        0x807F_FFFF, // largest negative subnormal
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x7FC0_0000, // canonical quiet NaN
+        0x7FC0_1234, // quiet NaN with a payload
+        0xFFA0_0001, // negative signalling NaN with a payload
+        0x7F7F_FFFF, // f32::MAX
+        0x0080_0000, // smallest normal
+    ];
+    for_each_case(CASES, |g| {
+        let heads = g.usize_in(1..4);
+        let config = BertConfig {
+            vocab_size: g.usize_in(6..40),
+            hidden: heads * g.usize_in(1..8),
+            n_layers: g.usize_in(0..3),
+            n_heads: heads,
+            ff_dim: g.usize_in(1..24),
+            max_seq_len: g.usize_in(2..12),
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64());
+        let mut model = BertMlmModel::new(config, &mut rng);
+        // Clean weights first: a prediction that means something.
+        let (ids, pos) = g.request(config.vocab_size, config.max_seq_len);
+        let reload = |model: &BertMlmModel, lead: usize| {
+            let mut bytes = vec![0xA5u8; lead];
+            model.write_tensors(&mut bytes);
+            let len = bytes.len() - lead;
+            let buf: Arc<dyn ByteSource> = Arc::new(bytes);
+            let mut cur = PackCursor::new(&buf, lead, len).expect("section in range");
+            let back = BertMlmModel::read_tensors(&mut cur).expect("a written section reads back");
+            cur.finish().expect("the section is consumed exactly");
+            back
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = InferScratch::new();
+        for poisoned in [false, true] {
+            if poisoned {
+                for p in model.params() {
+                    let data = p.w.data_mut();
+                    for _ in 0..1 + data.len() / 4 {
+                        let at = g.usize_in(0..data.len());
+                        data[at] = f32::from_bits(SPECIALS[g.usize_in(0..SPECIALS.len())]);
+                    }
+                }
+            }
+            let mut back = reload(&model, g.usize_in(0..9));
+            assert_eq!(back.config, config);
+            let want = bits(model.predict_with(&mut scratch, &ids, pos));
+            let got = bits(back.predict_with(&mut scratch, &ids, pos));
+            assert_eq!(want, got, "prediction diverged (poisoned: {poisoned})");
+            for (i, (a, b)) in model.params().iter().zip(back.params()).enumerate() {
+                let shape = |m: &Matrix| (m.rows(), m.cols());
+                assert_eq!(shape(&a.w), shape(&b.w), "tensor {i}");
+                assert_eq!(bits(a.w.data()), bits(b.w.data()), "tensor {i}");
+                // No gradient and no Adam moments come back.
+                let state = [&b.g, &b.m, &b.v];
+                assert!(state.iter().all(|s| s.data().is_empty()), "tensor {i}");
+            }
+        }
+    });
+}

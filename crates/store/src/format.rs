@@ -7,7 +7,7 @@
 //! ```text
 //! offset 0   header  (48 bytes)
 //!   magic            [u8; 8]  b"KAMELSTO"
-//!   version          u32      format version (1)
+//!   version          u32      format version (2)
 //!   flags            u32      bit 0: at least one record packs int8 weights
 //!   config_digest    u64      FNV-1a64 of the packed system's config JSON
 //!   record_count     u32
@@ -18,7 +18,8 @@
 //!   kind u8 | level u8 | reserved u16 | x u32 | y u32 | reserved u32
 //!   | offset u64 | len u64 | crc u32 | reserved u32
 //! then       payloads, each 8-byte aligned, each covered by its index crc:
-//!   json_len u32 | aux_len u32 | json | pad to 4 | aux
+//!   json_len u32 | tensors_len u32 | aux_len u32 | reserved u32 (0)
+//!   | json | zero pad to 8 | tensors | zero pad to 8 | aux
 //! ```
 //!
 //! The envelope conventions mirror the `KAMELCKP` checkpoint format
@@ -30,9 +31,24 @@
 //! Record `kind` maps the pyramid slots: 0 is the store's meta record
 //! (serving skeleton + model summaries, always record 0), 1/2/3 are
 //! single / pair-east / pair-south cell models at `(level, x, y)`, 4 is
-//! the global model. `aux` is record-specific: packed int8 weights for
-//! model records (read zero-copy via [`kamel_nn::QuantizedBertMlm::read_packed`]),
-//! the summaries JSON for the meta record.
+//! the global model. The three sections of a payload are record-specific:
+//!
+//! * a BERT model record keeps its weights as bytes: `tensors` is a
+//!   [`kamel_lm::BertMlm::write_record`] record (raw little-endian f32
+//!   tensors behind a typed, shape-checked header, then the vocabulary),
+//!   `json` is only the small `ModelMeta`, and `aux` is the packed int8
+//!   artifact when the model serves quantized (read zero-copy via
+//!   [`kamel_nn::QuantizedBertMlm::read_packed`]);
+//! * an n-gram model record has no tensors: `json` is its whole
+//!   serialized `ModelEntry` (its hash maps are rebuilt either way);
+//! * the meta record carries the skeleton in `json` and the summaries
+//!   JSON in `aux`.
+//!
+//! Both binary sections start on an 8-byte boundary of the file, so every
+//! `f32` and `u64` in them sits on its natural alignment in the mapping.
+//! A v1 file (weights as JSON text, two sections) is refused at open:
+//! stores are regenerable from their checkpoint with `kamel pack`, so no
+//! second reader is kept.
 
 use crate::mmap::MappedFile;
 use crate::StoreError;
@@ -45,13 +61,16 @@ use std::sync::Arc;
 /// First eight bytes of every store file.
 pub const STORE_MAGIC: [u8; 8] = *b"KAMELSTO";
 /// Current format version.
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 /// Header flag: at least one record carries packed int8 weights.
 pub const FLAG_QUANT: u32 = 1;
 /// Fixed header length.
 pub const HEADER_LEN: usize = 48;
 /// Fixed index entry length.
 pub const INDEX_ENTRY_LEN: usize = 40;
+/// Fixed framing at the start of every payload: three section lengths
+/// and a reserved word.
+const PAYLOAD_HEADER_LEN: usize = 16;
 
 /// Record kind: store meta (serving skeleton + summaries).
 pub const KIND_META: u8 = 0;
@@ -145,16 +164,28 @@ pub struct IndexEntry {
 pub struct RecordView<'a> {
     /// The record's slot.
     pub key: RecordKey,
-    /// The JSON section (a serialized `ModelEntry`, or the serving
-    /// skeleton for the meta record).
+    /// The JSON section: a `ModelMeta` for a record with tensors, a whole
+    /// serialized `ModelEntry` for one without, the serving skeleton for
+    /// the meta record.
     pub json: &'a [u8],
+    /// Absolute file offset of the tensor section (a BERT model's binary
+    /// record), 8-byte aligned.
+    pub tensors_offset: usize,
+    /// Tensor section length (0 when absent).
+    pub tensors_len: usize,
     /// Absolute file offset of the aux section (packed int8 weights for
-    /// model records; summaries JSON for the meta record).
+    /// model records; summaries JSON for the meta record), 8-byte aligned.
     pub aux_offset: usize,
     /// Aux section length (0 when absent).
     pub aux_len: usize,
-    /// Total payload length — the record's residency cost proxy.
+    /// Total payload length — the record's residency cost.
     pub payload_len: usize,
+}
+
+/// `n` rounded up to the next multiple of 8. In `u64`, so that section
+/// lengths read from a file cannot wrap on a 32-bit host.
+fn pad8(n: u64) -> u64 {
+    (n + 7) & !7
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -192,14 +223,18 @@ impl StoreBuilder {
         }
     }
 
-    /// Appends one record, framing `json` and `aux` into a payload.
-    pub fn push_record(&mut self, key: RecordKey, json: &[u8], aux: &[u8]) {
-        let json_pad = (4 - json.len() % 4) % 4;
-        let mut payload = Vec::with_capacity(8 + json.len() + json_pad + aux.len());
-        put_u32(&mut payload, json.len() as u32);
-        put_u32(&mut payload, aux.len() as u32);
-        payload.extend_from_slice(json);
-        payload.extend_from_slice(&[0u8; 3][..json_pad]);
+    /// Appends one record, framing its three sections into a payload.
+    pub fn push_record(&mut self, key: RecordKey, json: &[u8], tensors: &[u8], aux: &[u8]) {
+        let mut payload = Vec::new();
+        for section in [json, tensors, aux] {
+            let len = u32::try_from(section.len()).expect("a record section is under 4 GiB");
+            put_u32(&mut payload, len);
+        }
+        put_u32(&mut payload, 0); // reserved
+        for section in [json, tensors] {
+            payload.extend_from_slice(section);
+            payload.resize(pad8(payload.len() as u64) as usize, 0);
+        }
         payload.extend_from_slice(aux);
         if key.kind != KIND_META && !aux.is_empty() {
             self.flags |= FLAG_QUANT;
@@ -298,7 +333,8 @@ impl Store {
         let version = get_u32(b, 8);
         if version != STORE_VERSION {
             return Err(StoreError::Incompatible(format!(
-                "store format v{version}; this build reads v{STORE_VERSION}"
+                "store format v{version}; this build reads v{STORE_VERSION} \
+                 — re-pack with `kamel pack`"
             )));
         }
         let flags = get_u32(b, 12);
@@ -349,7 +385,7 @@ impl Store {
                     entry.offset, end
                 )));
             }
-            if entry.len < 8 {
+            if entry.len < PAYLOAD_HEADER_LEN as u64 {
                 return Err(StoreError::Corrupt(format!(
                     "record {i} is {} bytes, shorter than its framing",
                     entry.len
@@ -411,20 +447,37 @@ impl Store {
                 entry.key
             )));
         }
-        let json_len = get_u32(payload, 0) as usize;
-        let aux_len = get_u32(payload, 4) as usize;
-        let json_pad = (4 - json_len % 4) % 4;
-        let expect = 8 + json_len + json_pad + aux_len;
-        if expect != payload.len() {
+        let [json_len, tensors_len, aux_len] = [0, 4, 8].map(|at| get_u32(payload, at) as u64);
+        let tensors_at = PAYLOAD_HEADER_LEN as u64 + pad8(json_len);
+        let aux_at = tensors_at + pad8(tensors_len);
+        if get_u32(payload, 12) != 0 || aux_at + aux_len != payload.len() as u64 {
             return Err(StoreError::Corrupt(format!(
-                "record {i} framing claims {expect} bytes but the payload holds {}",
+                "record {i} framing claims sections of {json_len} + {tensors_len} + {aux_len} \
+                 bytes, which is not what a payload of {} holds",
                 payload.len()
             )));
         }
+        // Every section ends inside the payload, so each fits a usize.
+        let [json_len, tensors_len, aux_len, tensors_at, aux_at] =
+            [json_len, tensors_len, aux_len, tensors_at, aux_at].map(|n| n as usize);
+        let json_end = PAYLOAD_HEADER_LEN + json_len;
+        let tensors_end = tensors_at + tensors_len;
+        if payload[json_end..tensors_at]
+            .iter()
+            .chain(&payload[tensors_end..aux_at])
+            .any(|&b| b != 0)
+        {
+            return Err(StoreError::Corrupt(format!(
+                "record {i} has non-zero section padding"
+            )));
+        }
+        let at = entry.offset as usize;
         Ok(RecordView {
             key: entry.key,
-            json: &payload[8..8 + json_len],
-            aux_offset: entry.offset as usize + 8 + json_len + json_pad,
+            json: &payload[PAYLOAD_HEADER_LEN..json_end],
+            tensors_offset: at + tensors_at,
+            tensors_len,
+            aux_offset: at + aux_at,
             aux_len,
             payload_len: payload.len(),
         })
@@ -437,7 +490,7 @@ mod tests {
 
     fn sample_store() -> Vec<u8> {
         let mut b = StoreBuilder::new(0xDEAD_BEEF_F00D_CAFE);
-        b.push_record(RecordKey::META, br#"{"config":{}}"#, br#"[]"#);
+        b.push_record(RecordKey::META, br#"{"config":{}}"#, &[], br#"[]"#);
         b.push_record(
             RecordKey {
                 kind: KIND_SINGLE,
@@ -446,6 +499,7 @@ mod tests {
                 y: 7,
             },
             br#"{"model":"a"}"#,
+            &[9, 8, 7],
             &[1, 2, 3, 4, 5],
         );
         b.push_record(
@@ -456,6 +510,7 @@ mod tests {
                 y: 0,
             },
             br#"{"model":"g"}"#,
+            &[6; 16],
             &[],
         );
         b.finish()
@@ -479,13 +534,25 @@ mod tests {
         assert_eq!((single.key.level, single.key.x, single.key.y), (3, 5, 7));
         assert_eq!(single.json, br#"{"model":"a"}"#);
         let b = store.byte_source();
-        let aux = &kamel_nn::ByteSource::bytes(&*b)
-            [single.aux_offset..single.aux_offset + single.aux_len];
+        let file = kamel_nn::ByteSource::bytes(&*b);
+        let tensors = &file[single.tensors_offset..single.tensors_offset + single.tensors_len];
+        assert_eq!(tensors, &[9, 8, 7]);
+        let aux = &file[single.aux_offset..single.aux_offset + single.aux_len];
         assert_eq!(aux, &[1, 2, 3, 4, 5]);
 
         let global = store.record(2).expect("global");
         assert_eq!(global.key.to_selection(), Some(ModelSelection::Global));
-        assert_eq!(global.aux_len, 0);
+        assert_eq!((global.tensors_len, global.aux_len), (16, 0));
+    }
+
+    #[test]
+    fn tensors_alone_never_set_the_quant_flag() {
+        let mut b = StoreBuilder::new(7);
+        b.push_record(RecordKey::META, b"{}", &[], b"[]");
+        let global = RecordKey::from_selection(ModelSelection::Global);
+        b.push_record(global, b"{}", &[1; 8], &[]);
+        let store = Store::from_bytes(b.finish()).expect("open");
+        assert_eq!(store.flags() & FLAG_QUANT, 0);
     }
 
     #[test]
@@ -494,6 +561,9 @@ mod tests {
         let store = Store::from_bytes(bytes).expect("open");
         for (i, entry) in store.index().iter().enumerate() {
             assert_eq!(entry.offset % 8, 0, "record {i} payload misaligned");
+            let view = store.record(i).expect("record");
+            assert_eq!(view.tensors_offset % 8, 0, "record {i} tensors misaligned");
+            assert_eq!(view.aux_offset % 8, 0, "record {i} aux misaligned");
         }
     }
 
@@ -557,10 +627,18 @@ mod tests {
 
     #[test]
     fn version_skew_fails_as_incompatible() {
-        let mut bytes = sample_store();
-        bytes[8..12].copy_from_slice(&(STORE_VERSION + 1).to_le_bytes());
-        let err = Store::from_bytes(bytes).expect_err("must fail");
-        assert!(matches!(err, StoreError::Incompatible(ref m) if m.contains("store format")));
+        // v1 is the retired weights-as-JSON layout; both directions of skew
+        // tell the operator how to get a readable file.
+        for version in [1, STORE_VERSION + 1] {
+            let mut bytes = sample_store();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = Store::from_bytes(bytes).expect_err("must fail");
+            assert!(
+                matches!(err, StoreError::Incompatible(ref m)
+                    if m.contains("store format") && m.contains("kamel pack")),
+                "v{version} gave {err:?}"
+            );
+        }
     }
 
     #[test]

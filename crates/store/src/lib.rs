@@ -6,20 +6,22 @@
 //! moves the model repository onto disk:
 //!
 //! * [`pack`] turns a trained [`kamel::Kamel`] into one `.kstore` file —
-//!   a CRC-checked index over per-cell records, each holding the cell's
-//!   serialized model plus (for quantized BERT engines) its packed int8
+//!   a CRC-checked index over per-cell records. A BERT cell's weights are
+//!   stored as bytes: raw little-endian f32 tensors behind a typed,
+//!   shape-checked header, plus (for quantized engines) its packed int8
 //!   weights in the exact layout `kamel_nn::quant_matvec` consumes.
 //! * [`load_kamel`] opens a store (mmap on Linux, heap elsewhere) and
 //!   returns a `Kamel` whose model lookups route through a
-//!   [`StoreSource`]: models materialize lazily on first touch, live in
+//!   [`StoreSource`]: models materialize lazily on first touch — a
+//!   checksum, a header check and one copy per tensor, no parse — live in
 //!   an LRU set bounded by `--model-memory-budget`, and quantized
 //!   weights serve as zero-copy views straight out of the mapped pages.
 //!
 //! Predictions from a store-backed system are byte-identical to the heap
-//! system it was packed from: records carry the same serde form the heap
-//! repository persists, the packed int8 layout round-trips bit-exactly,
-//! and the store mirrors (rather than re-decides) the packed system's
-//! quantization gate decisions.
+//! system it was packed from: f32 weights and the packed int8 layout
+//! round-trip bit-exactly, n-gram records carry the same serde form the
+//! heap repository persists, and the store mirrors (rather than
+//! re-decides) the packed system's quantization gate decisions.
 
 #![warn(missing_docs)]
 
@@ -86,6 +88,14 @@ pub struct PackStats {
     pub quant_models: usize,
     /// Total store file size in bytes.
     pub bytes: u64,
+    /// Of `bytes`, JSON: the meta record's skeleton and summaries, every
+    /// `ModelMeta`, and whole n-gram models.
+    pub json_bytes: u64,
+    /// Of `bytes`, binary f32 model records (BERT weights + vocabulary).
+    pub tensor_bytes: u64,
+    /// Of `bytes`, packed int8 weights. What the three leave over is the
+    /// header, the index, framing and alignment padding.
+    pub int8_bytes: u64,
 }
 
 /// FNV-1a64 digest of a config's JSON — the store↔process compatibility
@@ -102,7 +112,12 @@ pub fn pack_bytes(kamel: &Kamel) -> Result<Vec<u8>, StoreError> {
     let summaries = serde_json::to_string(&kamel.model_summaries())
         .map_err(|e| StoreError::Pack(format!("summaries: {e}")))?;
     let mut builder = StoreBuilder::new(config_digest_of(kamel.config()));
-    builder.push_record(RecordKey::META, skeleton.as_bytes(), summaries.as_bytes());
+    builder.push_record(
+        RecordKey::META,
+        skeleton.as_bytes(),
+        &[],
+        summaries.as_bytes(),
+    );
     for export in kamel
         .export_models()
         .map_err(|e| StoreError::Pack(e.to_string()))?
@@ -113,7 +128,8 @@ pub fn pack_bytes(kamel: &Kamel) -> Result<Vec<u8>, StoreError> {
             .unwrap_or_default();
         builder.push_record(
             RecordKey::from_selection(export.selection),
-            export.entry_json.as_bytes(),
+            export.json.as_bytes(),
+            &export.tensors,
             &aux,
         );
     }
@@ -127,14 +143,26 @@ pub fn pack(kamel: &Kamel, out: &Path) -> Result<PackStats, StoreError> {
     let bytes = pack_bytes(kamel)?;
     kamel::checkpoint::write_file_atomic(out, &bytes)?;
     let store = Store::from_bytes(bytes)?;
-    let quant_models = (1..store.record_count())
-        .filter(|&i| store.record(i).map(|v| v.aux_len > 0).unwrap_or(false))
-        .count();
-    Ok(PackStats {
+    let mut stats = PackStats {
         models: store.record_count().saturating_sub(1),
-        quant_models,
+        quant_models: 0,
         bytes: store.file_len(),
-    })
+        json_bytes: 0,
+        tensor_bytes: 0,
+        int8_bytes: 0,
+    };
+    for i in 0..store.record_count() {
+        let view = store.record(i)?;
+        stats.json_bytes += view.json.len() as u64;
+        stats.tensor_bytes += view.tensors_len as u64;
+        if view.key == RecordKey::META {
+            stats.json_bytes += view.aux_len as u64; // the summaries
+        } else {
+            stats.int8_bytes += view.aux_len as u64;
+            stats.quant_models += usize::from(view.aux_len > 0);
+        }
+    }
+    Ok(stats)
 }
 
 /// Opens the store at `path` and builds a serving-ready [`Kamel`]:

@@ -3,9 +3,11 @@
 //! [`StoreSource`] implements `kamel`'s [`ModelSource`] on top of a
 //! [`Store`]: queries route through a modelless pyramid *skeleton* (the
 //! same §4 selection walk the heap repository runs), and the chosen
-//! record is materialized on first touch — checksum verified, its
-//! `ModelEntry` JSON deserialized, and any packed int8 weights installed
-//! as a zero-copy view into the mapped file.
+//! record is materialized on first touch: checksum verified, then for a
+//! BERT record its tensor header checked against the shapes its config
+//! implies, each tensor copied into an owned buffer, and any packed int8
+//! weights installed as a zero-copy view into the mapped file. Only an
+//! n-gram record (no tensors) is parsed from JSON.
 //!
 //! Materialized models live in an LRU set bounded by a byte budget
 //! (`--model-memory-budget`). Two classes never evict:
@@ -18,14 +20,16 @@
 //! The budget therefore bounds the *unpinned* resident bytes: a
 //! materialization that lands over budget evicts least-recently-used
 //! unpinned models (never the one just requested) until it fits, or
-//! until only pins remain.
+//! until only pins remain. A model's cost is its record's payload
+//! length; for a BERT record that is the bytes of weights it holds on
+//! the heap, so a budget byte is a heap byte.
 
 use crate::format::{RecordView, Store, KIND_META};
 use crate::StoreError;
-use kamel::partition::{ModelEntry, ModelSelection, ModelSummary, Repository};
+use kamel::partition::{ModelEntry, ModelMeta, ModelSelection, ModelSummary, Repository};
 use kamel::{ModelHandle, ModelSource, ResidencyStats};
 use kamel_geo::BBox;
-use kamel_lm::TrainedModel;
+use kamel_lm::{BertMlm, TrainedModel};
 use kamel_nn::ByteSource;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,8 +225,9 @@ impl StoreSource {
                 return Ok(r.models[&idx].clone());
             }
         }
-        // Decode outside the lock: checksum + JSON parse dominate, and
-        // concurrent queries for *other* cells must not serialize on it.
+        // Decode outside the lock: the checksum and the tensor copy are the
+        // whole cost of a miss, and concurrent queries for *other* cells
+        // must not serialize on it.
         let view = self.store.record(idx)?;
         let model = Arc::new(self.decode(sel, &view)?);
         let cost = view.payload_len as u64;
@@ -241,27 +246,32 @@ impl StoreSource {
     }
 
     fn decode(&self, sel: ModelSelection, view: &RecordView<'_>) -> Result<TrainedModel, StoreError> {
-        let json = std::str::from_utf8(view.json).map_err(|e| {
-            StoreError::Corrupt(format!("record for {sel:?} holds non-UTF-8 JSON: {e}"))
-        })?;
-        let entry: ModelEntry = serde_json::from_str(json).map_err(|e| {
-            StoreError::Corrupt(format!("record for {sel:?} failed to decode: {e}"))
-        })?;
-        let mut model = entry.model;
+        let corrupt = |what: &str, e: &dyn std::fmt::Display| {
+            StoreError::Corrupt(format!("{what} for {sel:?}: {e}"))
+        };
+        let source: Arc<dyn ByteSource> = self.store.byte_source();
+        let mut model = if view.tensors_len == 0 {
+            // An n-gram model: the one record kind still kept as JSON.
+            let entry: ModelEntry = serde_json::from_slice(view.json)
+                .map_err(|e| corrupt("record failed to decode", &e))?;
+            entry.model
+        } else {
+            // The JSON beside a tensor section is only the entry's
+            // metadata; serving keeps none of it, but a record that does
+            // not hold one was not written by `kamel pack`.
+            serde_json::from_slice::<ModelMeta>(view.json)
+                .map_err(|e| corrupt("record metadata failed to decode", &e))?;
+            let bert = BertMlm::read_record(&source, view.tensors_offset, view.tensors_len)
+                .map_err(|e| corrupt("tensor section is invalid", &e))?;
+            TrainedModel::Bert(Box::new(bert))
+        };
         if view.aux_len > 0 {
-            let source: Arc<dyn ByteSource> = self.store.byte_source();
             let quant =
                 kamel_nn::QuantizedBertMlm::read_packed(source, view.aux_offset, view.aux_len)
-                    .map_err(|e| {
-                        StoreError::Corrupt(format!(
-                            "packed int8 weights for {sel:?} are invalid: {e}"
-                        ))
-                    })?;
-            model.install_quantization(quant).map_err(|e| {
-                StoreError::Corrupt(format!(
-                    "packed int8 weights for {sel:?} do not fit their model: {e}"
-                ))
-            })?;
+                    .map_err(|e| corrupt("packed int8 weights are invalid", &e))?;
+            model
+                .install_quantization(quant)
+                .map_err(|e| corrupt("packed int8 weights do not fit their model", &e))?;
         }
         Ok(model)
     }
