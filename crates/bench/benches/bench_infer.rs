@@ -13,8 +13,7 @@ use kamel_nn::{
     set_backend, supported_backends, BertConfig, BertMlmModel, InferScratch,
     QuantizedBertMlm,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use kamel_rng::Rng;
 use serde_json::json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +85,7 @@ fn bench_scale(name: &str, config: BertConfig, seq_len: usize, reps: usize) -> s
     let vocab = config.vocab_size;
     let seq_len = seq_len.min(config.max_seq_len);
     let mask_pos = seq_len / 2;
-    let mut rng = ChaCha8Rng::seed_from_u64(0x1EAF);
+    let mut rng = Rng::seed_from_u64(0x1EAF);
     let model = BertMlmModel::new(config, &mut rng);
     let ids: Vec<u32> = (0..seq_len as u32).map(|i| i % vocab as u32).collect();
 
@@ -179,7 +178,7 @@ fn bench_backends(config: BertConfig, seq_len: usize, reps: usize) -> serde_json
     let vocab = config.vocab_size;
     let seq_len = seq_len.min(config.max_seq_len);
     let mask_pos = seq_len / 2;
-    let mut rng = ChaCha8Rng::seed_from_u64(0x51AD);
+    let mut rng = Rng::seed_from_u64(0x51AD);
     let mut model = BertMlmModel::new(config, &mut rng);
     let corpus: Vec<Vec<u32>> = (0..16u32)
         .map(|j| {

@@ -68,8 +68,9 @@ impl fmt::Display for Fault {
     }
 }
 
-/// SplitMix64: the same tiny deterministic mixer the serving client uses
-/// for retry jitter. Good avalanche behavior, no state, no dependencies.
+/// SplitMix64: a tiny deterministic mixer with good avalanche behavior and
+/// no state. A copy of `kamel_rng::splitmix64`, kept because this crate is
+/// dependency-free by design.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

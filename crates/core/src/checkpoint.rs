@@ -497,18 +497,10 @@ mod tests {
 
     #[test]
     fn slicing_by_8_matches_the_bytewise_reference() {
-        // splitmix64: a seeded byte stream with no external crate.
-        let mut state = 0xC2C3_2C00_u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = kamel_rng::Rng::seed_from_u64(0xC2C3_2C00);
         // Every length 0..=257 at every start offset 0..8: all eight
         // alignments of the 8-byte body and every remainder length.
-        let buf: Vec<u8> = (0..8 + 257).map(|_| next() as u8).collect();
+        let buf: Vec<u8> = (0..8 + 257).map(|_| rng.next_u64() as u8).collect();
         for start in 0..8 {
             for len in 0..=257 {
                 let s = &buf[start..start + len];
@@ -516,7 +508,7 @@ mod tests {
             }
         }
         for seed in 0..3u64 {
-            let big: Vec<u8> = (0..(1 << 20) + seed).map(|_| next() as u8).collect();
+            let big: Vec<u8> = (0..(1 << 20) + seed).map(|_| rng.next_u64() as u8).collect();
             assert_eq!(crc32c(&big), crc32c_bytewise(&big), "1 MB buffer {seed}");
         }
     }

@@ -11,8 +11,7 @@ use kamel_nn::{
     BertConfig, BertMlmModel, ByteSource, InferScratch, MlmBatcher, PackCursor, QuantizedBertMlm,
     TrainOptions, Trainer,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -120,7 +119,7 @@ impl BertMlm {
             ids.push(Vocab::SEP);
             sequences.push(ids);
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let bert_config = config.bert_config(Self::network_vocab_size(vocab.regular_len()));
         let mut model = BertMlmModel::new(bert_config, &mut rng);
         if !sequences.is_empty() && !vocab.is_empty() {
@@ -223,19 +222,19 @@ impl BertMlm {
         };
         let (lo, hi) = self.vocab.regular_range();
         let max_body = self.model.config.max_seq_len.saturating_sub(2).max(1);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut scratch = InferScratch::new();
         let mut agree = 0usize;
         for _ in 0..probes {
-            let len = rng.gen_range(3..=8usize).min(max_body);
-            let pos = rng.gen_range(0..len);
+            let len = rng.range(3..=8usize).min(max_body);
+            let pos = rng.range(0..len);
             let mut ids = Vec::with_capacity(len + 2);
             ids.push(Vocab::CLS);
             for i in 0..len {
                 ids.push(if i == pos {
                     Vocab::MASK
                 } else {
-                    rng.gen_range(lo..hi)
+                    rng.range(lo..hi)
                 });
             }
             ids.push(Vocab::SEP);

@@ -6,7 +6,7 @@
 
 use crate::layers::{softmax_rows, softmax_rows_backward, Linear, Param};
 use crate::matrix::Matrix;
-use rand::Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Multi-head self-attention block.
@@ -47,7 +47,7 @@ impl MultiHeadAttention {
     ///
     /// # Panics
     /// Panics when `hidden` is not divisible by `heads`.
-    pub fn new(hidden: usize, heads: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(hidden: usize, heads: usize, rng: &mut Rng) -> Self {
         assert!(
             heads > 0 && hidden.is_multiple_of(heads),
             "hidden {hidden} must be divisible by heads {heads}"
@@ -209,12 +209,11 @@ fn write_head(dst: &mut Matrix, src: &Matrix, h: usize, head_dim: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     #[test]
     fn output_shape_matches_input() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let attn = MultiHeadAttention::new(8, 2, &mut rng);
         let x = Matrix::randn(5, 8, 1.0, &mut rng);
         let (y, cache) = attn.forward(&x, None);
@@ -231,7 +230,7 @@ mod tests {
 
     #[test]
     fn padding_mask_zeroes_attention_to_padded_keys() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let attn = MultiHeadAttention::new(8, 2, &mut rng);
         let x = Matrix::randn(4, 8, 1.0, &mut rng);
         let valid = [true, true, false, true];
@@ -245,7 +244,7 @@ mod tests {
 
     #[test]
     fn masked_position_does_not_influence_valid_outputs() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let attn = MultiHeadAttention::new(8, 2, &mut rng);
         let mut x = Matrix::randn(4, 8, 1.0, &mut rng);
         let valid = [true, true, false, true];
@@ -267,7 +266,7 @@ mod tests {
 
     #[test]
     fn gradients_match_finite_differences() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let mut attn = MultiHeadAttention::new(4, 2, &mut rng);
         let x = Matrix::randn(3, 4, 0.5, &mut rng);
         let upstream = Matrix::from_fn(3, 4, |r, c| ((r + 2 * c) % 3) as f32 - 1.0);
@@ -312,7 +311,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "divisible")]
     fn rejects_indivisible_heads() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let _ = MultiHeadAttention::new(10, 3, &mut rng);
     }
 }

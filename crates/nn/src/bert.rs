@@ -12,7 +12,7 @@ use crate::layers::{
     dropout_backward, dropout_forward, softmax_rows, Embedding, LayerNorm, Linear, LnCache, Param,
 };
 use crate::matrix::Matrix;
-use rand::Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of a BERT MLM.
@@ -102,7 +102,7 @@ pub struct BertCache {
 impl BertMlmModel {
     /// Initializes a model with the given config, deterministically under a
     /// seeded RNG.
-    pub fn new(config: BertConfig, rng: &mut impl Rng) -> Self {
+    pub fn new(config: BertConfig, rng: &mut Rng) -> Self {
         assert!(config.vocab_size > 0, "empty vocabulary");
         let mut layers = Vec::with_capacity(config.n_layers);
         for _ in 0..config.n_layers {
@@ -141,7 +141,7 @@ impl BertMlmModel {
         &self,
         ids: &[u32],
         valid: Option<&[bool]>,
-        dropout: Option<(f32, &mut dyn rand::RngCore)>,
+        dropout: Option<(f32, &mut Rng)>,
     ) -> (Matrix, BertCache) {
         assert!(
             ids.len() <= self.config.max_seq_len,
@@ -154,8 +154,8 @@ impl BertMlmModel {
         let mut emb = self.tok_emb.forward(ids);
         emb.add_assign(&self.pos_emb.forward(&pos_ids));
         let (mut x0, emb_ln_cache) = self.emb_ln.forward(&emb);
-        let emb_dropout = dropout.map(|(p, mut rng)| {
-            let (dropped, mask) = dropout_forward(&x0, p, &mut rng);
+        let emb_dropout = dropout.map(|(p, rng)| {
+            let (dropped, mask) = dropout_forward(&x0, p, rng);
             x0 = dropped;
             mask
         });
@@ -214,7 +214,7 @@ impl BertMlmModel {
         ids: &[u32],
         labels: &[Option<u32>],
         dropout_p: f32,
-        rng: &mut impl Rng,
+        rng: &mut Rng,
     ) -> f32 {
         if dropout_p <= 0.0 {
             return self.train_example_inner(ids, labels, None);
@@ -226,7 +226,7 @@ impl BertMlmModel {
         &mut self,
         ids: &[u32],
         labels: &[Option<u32>],
-        dropout: Option<(f32, &mut dyn rand::RngCore)>,
+        dropout: Option<(f32, &mut Rng)>,
     ) -> f32 {
         assert_eq!(ids.len(), labels.len());
         let (logits, cache) = self.forward_impl(ids, None, dropout);
@@ -303,12 +303,11 @@ impl BertMlmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     #[test]
     fn forward_produces_finite_logits() {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut rng = Rng::seed_from_u64(21);
         let model = BertMlmModel::new(BertConfig::tiny(16), &mut rng);
         let (logits, _) = model.forward(&[1, 2, 3, 4], None);
         assert_eq!((logits.rows(), logits.cols()), (4, 16));
@@ -317,7 +316,7 @@ mod tests {
 
     #[test]
     fn predict_is_a_distribution() {
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        let mut rng = Rng::seed_from_u64(22);
         let model = BertMlmModel::new(BertConfig::tiny(10), &mut rng);
         let p = model.predict(&[1, 2, 3], 1);
         assert_eq!(p.len(), 10);
@@ -330,7 +329,7 @@ mod tests {
     fn training_reduces_loss_on_a_deterministic_pattern() {
         // Corpus rule: token 3 is always between 2 and 4. The model must
         // learn to predict 3 for a mask in that context.
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut rng = Rng::seed_from_u64(23);
         let mut model = BertMlmModel::new(BertConfig::tiny(8), &mut rng);
         let mut opt = crate::optim::Adam::new(1e-2);
         let ids = [2u32, 7, 4]; // 7 plays the role of [MASK]
@@ -360,7 +359,7 @@ mod tests {
 
     #[test]
     fn no_masked_positions_is_a_noop() {
-        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let mut rng = Rng::seed_from_u64(24);
         let mut model = BertMlmModel::new(BertConfig::tiny(8), &mut rng);
         let loss = model.train_example(&[1, 2, 3], &[None, None, None]);
         assert_eq!(loss, 0.0);
@@ -369,7 +368,7 @@ mod tests {
 
     #[test]
     fn param_count_matches_formula() {
-        let mut rng = ChaCha8Rng::seed_from_u64(25);
+        let mut rng = Rng::seed_from_u64(25);
         let cfg = BertConfig::tiny(100);
         let mut model = BertMlmModel::new(cfg, &mut rng);
         let h = cfg.hidden;
@@ -388,7 +387,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds max")]
     fn rejects_overlong_sequence() {
-        let mut rng = ChaCha8Rng::seed_from_u64(26);
+        let mut rng = Rng::seed_from_u64(26);
         let model = BertMlmModel::new(BertConfig::tiny(8), &mut rng);
         let ids = vec![1u32; 65];
         let _ = model.forward(&ids, None);

@@ -6,7 +6,7 @@
 use crate::attention::{AttnCache, MultiHeadAttention};
 use crate::layers::{gelu_backward, gelu_forward, LayerNorm, Linear, LnCache, Param};
 use crate::matrix::Matrix;
-use rand::Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One transformer encoder layer.
@@ -41,7 +41,7 @@ pub struct EncoderCache {
 impl EncoderLayer {
     /// Creates a layer with the given hidden width, head count, and
     /// feed-forward width.
-    pub fn new(hidden: usize, heads: usize, ff: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(hidden: usize, heads: usize, ff: usize, rng: &mut Rng) -> Self {
         Self {
             attn: MultiHeadAttention::new(hidden, heads, rng),
             ff1: Linear::new(hidden, ff, rng),
@@ -116,12 +116,11 @@ impl EncoderLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     #[test]
     fn forward_shape_preserved() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let mut rng = Rng::seed_from_u64(10);
         let layer = EncoderLayer::new(8, 2, 16, &mut rng);
         let x = Matrix::randn(6, 8, 1.0, &mut rng);
         let (y, _) = layer.forward(&x, None);
@@ -131,7 +130,7 @@ mod tests {
 
     #[test]
     fn gradients_match_finite_differences() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let mut layer = EncoderLayer::new(4, 2, 8, &mut rng);
         let x = Matrix::randn(3, 4, 0.5, &mut rng);
         let upstream = Matrix::from_fn(3, 4, |r, c| if (r + c) % 2 == 0 { 1.0 } else { -0.5 });
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn param_count_is_complete() {
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let mut rng = Rng::seed_from_u64(12);
         let mut layer = EncoderLayer::new(8, 2, 16, &mut rng);
         // 4 attention linears (w+b) + 2 ffn linears (w+b) + 2 LN (γ+β)
         assert_eq!(layer.params().len(), 8 + 4 + 4);

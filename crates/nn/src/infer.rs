@@ -306,11 +306,10 @@ impl BertMlmModel {
 mod tests {
     use super::*;
     use crate::bert::BertConfig;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     fn model(vocab: usize, seed: u64) -> BertMlmModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         BertMlmModel::new(BertConfig::tiny(vocab), &mut rng)
     }
 

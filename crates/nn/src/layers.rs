@@ -7,7 +7,7 @@
 
 use crate::matrix::Matrix;
 use crate::simd;
-use rand::Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: value, gradient, and Adam moment estimates.
@@ -81,7 +81,7 @@ pub struct Linear {
 
 impl Linear {
     /// Xavier/Glorot-initialized linear layer.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(in_dim: usize, out_dim: usize, rng: &mut Rng) -> Self {
         let std = (2.0 / (in_dim + out_dim) as f32).sqrt();
         Self {
             weight: Param::new(Matrix::randn(in_dim, out_dim, std, rng)),
@@ -135,7 +135,7 @@ pub struct Embedding {
 
 impl Embedding {
     /// Gaussian-initialized embedding table (std 0.02, as in BERT).
-    pub fn new(vocab: usize, dim: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(vocab: usize, dim: usize, rng: &mut Rng) -> Self {
         Self {
             table: Param::new(Matrix::randn(vocab, dim, 0.02, rng)),
         }
@@ -298,14 +298,14 @@ impl LayerNorm {
 /// survivors by `1/(1-p)` so expectations match at inference time (which
 /// simply skips the layer). Returns the dropped activation and the 0/scale
 /// mask the backward pass multiplies by.
-pub fn dropout_forward(x: &Matrix, p: f32, rng: &mut impl Rng) -> (Matrix, Matrix) {
+pub fn dropout_forward(x: &Matrix, p: f32, rng: &mut Rng) -> (Matrix, Matrix) {
     assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1), got {p}");
     if p == 0.0 {
         return (x.clone(), Matrix::from_fn(x.rows(), x.cols(), |_, _| 1.0));
     }
     let scale = 1.0 / (1.0 - p);
     let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
-        if rng.gen::<f32>() < p {
+        if rng.f32() < p {
             0.0
         } else {
             scale
@@ -420,12 +420,11 @@ pub fn softmax_rows_backward(a: &Matrix, da: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     #[test]
     fn linear_forward_known_values() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let mut lin = Linear::new(2, 2, &mut rng);
         lin.weight.w = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         lin.bias.w = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
@@ -436,7 +435,7 @@ mod tests {
 
     #[test]
     fn linear_gradients_match_finite_differences() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let mut lin = Linear::new(3, 2, &mut rng);
         let x = Matrix::randn(4, 3, 1.0, &mut rng);
         // Loss = sum of outputs, so upstream grad is all-ones.
@@ -472,7 +471,7 @@ mod tests {
 
     #[test]
     fn embedding_gather_and_scatter() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut emb = Embedding::new(5, 4, &mut rng);
         let ids = [1u32, 3, 1];
         let out = emb.forward(&ids);
@@ -502,7 +501,7 @@ mod tests {
 
     #[test]
     fn layernorm_gradient_matches_finite_differences() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let mut ln = LayerNorm::new(6);
         // Non-trivial gamma to exercise the full formula.
         ln.gamma.w = Matrix::from_fn(1, 6, |_, c| 0.5 + 0.2 * c as f32);
@@ -535,7 +534,7 @@ mod tests {
 
     #[test]
     fn dropout_zeroes_and_rescales() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let x = Matrix::from_fn(20, 20, |_, _| 1.0);
         let (out, mask) = dropout_forward(&x, 0.5, &mut rng);
         let zeros = out.data().iter().filter(|v| **v == 0.0).count();
@@ -555,7 +554,7 @@ mod tests {
 
     #[test]
     fn dropout_p_zero_is_identity() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let mut rng = Rng::seed_from_u64(10);
         let x = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f32);
         let (out, mask) = dropout_forward(&x, 0.0, &mut rng);
         assert_eq!(out.data(), x.data());
@@ -565,7 +564,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dropout p")]
     fn dropout_rejects_p_one() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let _ = dropout_forward(&Matrix::zeros(1, 1), 1.0, &mut rng);
     }
 

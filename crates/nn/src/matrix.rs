@@ -17,7 +17,7 @@
 //! so the SIMD backend never changes results.
 
 use crate::simd;
-use rand::Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32`.
@@ -65,11 +65,11 @@ impl Matrix {
 
     /// Gaussian-initialized matrix with the given standard deviation
     /// (Box–Muller over the supplied RNG; deterministic under a seeded RNG).
-    pub fn randn(rows: usize, cols: usize, std: f32, rng: &mut impl Rng) -> Self {
+    pub fn randn(rows: usize, cols: usize, std: f32, rng: &mut Rng) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         while data.len() < rows * cols {
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
+            let u1: f32 = rng.range(f32::EPSILON..1.0);
+            let u2 = rng.f32();
             let mag = (-2.0 * u1.ln()).sqrt();
             let theta = 2.0 * std::f32::consts::PI * u2;
             data.push(mag * theta.cos() * std);
@@ -270,8 +270,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec())
@@ -304,7 +303,7 @@ mod tests {
 
     #[test]
     fn three_matmul_variants_agree_on_random_input() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let a = Matrix::randn(4, 5, 1.0, &mut rng);
         let b = Matrix::randn(5, 3, 1.0, &mut rng);
         let c = a.matmul(&b);
@@ -330,7 +329,7 @@ mod tests {
 
     #[test]
     fn randn_statistics_are_sane() {
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let m = Matrix::randn(100, 100, 0.5, &mut rng);
         let mean: f32 = m.data().iter().sum::<f32>() / 10_000.0;
         let var: f32 = m.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 10_000.0;
@@ -348,7 +347,7 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_kernels() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let a = Matrix::randn(7, 5, 1.0, &mut rng);
         let b = Matrix::randn(5, 6, 1.0, &mut rng);
         let mut out = Matrix::zeros(0, 0);
@@ -364,7 +363,7 @@ mod tests {
 
     #[test]
     fn matmul_row_into_matches_full_product_row() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let mut rng = Rng::seed_from_u64(10);
         // n > NN_COL_BLOCK would need a huge matrix; block boundaries are
         // still exercised because the kernel path is shared.
         let a = Matrix::randn(4, 37, 1.0, &mut rng);

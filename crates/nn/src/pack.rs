@@ -370,12 +370,11 @@ impl BertMlmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     #[test]
     fn shape_table_and_weight_walk_follow_params_order() {
-        let mut rng = ChaCha8Rng::seed_from_u64(91);
+        let mut rng = Rng::seed_from_u64(91);
         let mut model = BertMlmModel::new(BertConfig::tiny(13), &mut rng);
         let walked: Vec<*const Matrix> =
             model.weights().into_iter().map(|w| w as *const _).collect();
@@ -391,7 +390,7 @@ mod tests {
     #[test]
     fn a_reloaded_model_trains_exactly_like_the_one_it_was_written_from() {
         use crate::train::{MlmBatcher, TrainOptions, Trainer};
-        let mut rng = ChaCha8Rng::seed_from_u64(93);
+        let mut rng = Rng::seed_from_u64(93);
         let mut original = BertMlmModel::new(BertConfig::tiny(12), &mut rng);
         let mut bytes = Vec::new();
         original.write_tensors(&mut bytes);
@@ -420,7 +419,7 @@ mod tests {
 
     #[test]
     fn section_length_is_a_multiple_of_eight_at_any_start() {
-        let mut rng = ChaCha8Rng::seed_from_u64(92);
+        let mut rng = Rng::seed_from_u64(92);
         // vocab 7, hidden 6: an odd float count, so the pad is exercised.
         let config = BertConfig {
             vocab_size: 7,

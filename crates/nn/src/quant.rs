@@ -472,19 +472,17 @@ impl BertMlmModel {
 mod tests {
     use super::*;
     use crate::bert::BertConfig;
-    use rand::Rng;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
     fn model(vocab: usize, seed: u64) -> BertMlmModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         BertMlmModel::new(BertConfig::tiny(vocab), &mut rng)
     }
 
     #[test]
     fn quantize_round_trip_is_within_half_step() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let row: Vec<f32> = (0..97).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+        let mut rng = Rng::seed_from_u64(7);
+        let row: Vec<f32> = (0..97).map(|_| rng.range(-3.0f32..3.0)).collect();
         let mut xq = Vec::new();
         let scale = quantize_row(&row, &mut xq);
         assert!(scale > 0.0);
@@ -517,7 +515,7 @@ mod tests {
         assert_eq!(quantize_row(&[0.0; 9], &mut xq), 0.0);
         assert!(xq.iter().all(|&q| q == 0));
         assert_eq!(quantize_row(&[f32::NAN, 1.0], &mut xq), 0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let lin = Linear::new(6, 4, &mut rng);
         let q = QuantizedLinear::from_linear(&lin);
         let x = Matrix::zeros(1, 6);
@@ -540,9 +538,9 @@ mod tests {
 
     #[test]
     fn quantized_linear_approximates_f32_linear() {
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let mut rng = Rng::seed_from_u64(13);
         let lin = Linear::new(48, 32, &mut rng);
-        let x = Matrix::from_fn(5, 48, |_, _| rng.gen_range(-2.0f32..2.0));
+        let x = Matrix::from_fn(5, 48, |_, _| rng.range(-2.0f32..2.0));
         let exact = lin.forward(&x);
         let q = QuantizedLinear::from_linear(&lin);
         assert_eq!(q.weight_bytes(), 48 * 32);

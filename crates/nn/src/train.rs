@@ -7,9 +7,7 @@
 
 use crate::bert::BertMlmModel;
 use crate::optim::Adam;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use kamel_rng::Rng;
 
 /// Options controlling one training run.
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +93,7 @@ impl MlmBatcher {
     /// Guarantees at least one selected position for sequences with any
     /// maskable position (otherwise a short sequence could contribute
     /// nothing to training).
-    pub fn mask(&self, seq: &[u32], rng: &mut impl Rng) -> (Vec<u32>, Vec<Option<u32>>) {
+    pub fn mask(&self, seq: &[u32], rng: &mut Rng) -> (Vec<u32>, Vec<Option<u32>>) {
         let mut ids = seq.to_vec();
         let mut labels = vec![None; seq.len()];
         let lo = if self.protect_ends && seq.len() > 2 { 1 } else { 0 };
@@ -109,13 +107,13 @@ impl MlmBatcher {
         }
         let mut any = false;
         for i in lo..hi {
-            if rng.gen_bool(self.mask_prob) {
+            if rng.bool(self.mask_prob) {
                 self.apply_at(&mut ids, &mut labels, seq, i, rng);
                 any = true;
             }
         }
         if !any {
-            let i = rng.gen_range(lo..hi);
+            let i = rng.range(lo..hi);
             self.apply_at(&mut ids, &mut labels, seq, i, rng);
         }
         (ids, labels)
@@ -127,14 +125,14 @@ impl MlmBatcher {
         labels: &mut [Option<u32>],
         orig: &[u32],
         i: usize,
-        rng: &mut impl Rng,
+        rng: &mut Rng,
     ) {
         labels[i] = Some(orig[i]);
-        let roll: f64 = rng.gen();
+        let roll = rng.f64();
         if roll < 0.8 {
             ids[i] = self.mask_id;
         } else if roll < 0.9 {
-            ids[i] = rng.gen_range(self.random_range.0..self.random_range.1);
+            ids[i] = rng.range(self.random_range.0..self.random_range.1);
         } // else: keep original token
     }
 }
@@ -158,7 +156,7 @@ impl Trainer {
     /// Sequences longer than the model's `max_seq_len` are split into
     /// overlapping windows so no training signal is dropped.
     pub fn train(&self, model: &mut BertMlmModel, corpus: &[Vec<u32>]) -> Vec<f32> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.options.seed);
+        let mut rng = Rng::seed_from_u64(self.options.seed);
         let max_len = model.config.max_seq_len;
         let mut windows: Vec<Vec<u32>> = Vec::new();
         for seq in corpus {
@@ -194,7 +192,7 @@ impl Trainer {
         let mut step = 0usize;
         let mut history = Vec::with_capacity(self.options.epochs);
         for _ in 0..self.options.epochs {
-            windows.shuffle(&mut rng);
+            rng.shuffle(&mut windows);
             let mut epoch_loss = 0.0f64;
             let mut examples = 0usize;
             for chunk in windows.chunks(self.options.batch_size.max(1)) {
@@ -230,7 +228,7 @@ mod tests {
     #[test]
     fn masking_selects_and_labels_consistently() {
         let batcher = MlmBatcher::new(1, (4, 20));
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let seq: Vec<u32> = (4..16).collect();
         let (ids, labels) = batcher.mask(&seq, &mut rng);
         assert_eq!(ids.len(), seq.len());
@@ -250,7 +248,7 @@ mod tests {
     #[test]
     fn protect_ends_never_masks_boundaries() {
         let batcher = MlmBatcher::new(1, (4, 20));
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let seq: Vec<u32> = (4..12).collect();
         for _ in 0..200 {
             let (_, labels) = batcher.mask(&seq, &mut rng);
@@ -262,7 +260,7 @@ mod tests {
     #[test]
     fn masking_rate_is_roughly_15_percent() {
         let batcher = MlmBatcher::new(1, (4, 100));
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let seq: Vec<u32> = (4..104).collect();
         let mut total = 0usize;
         for _ in 0..100 {
@@ -276,7 +274,7 @@ mod tests {
     #[test]
     fn short_sequences_get_at_least_one_mask() {
         let batcher = MlmBatcher::new(1, (4, 20));
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let seq = [4u32, 5, 6];
         for _ in 0..50 {
             let (_, labels) = batcher.mask(&seq, &mut rng);
@@ -290,7 +288,7 @@ mod tests {
         // Corpus: sequences follow the chain 4 -> 5 -> 6 -> 7. A trained
         // model must put most mask probability on the chain token.
         let corpus: Vec<Vec<u32>> = (0..40).map(|_| vec![4u32, 5, 6, 7]).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let mut model = BertMlmModel::new(BertConfig::tiny(8), &mut rng);
         let trainer = Trainer::new(
             MlmBatcher::new(1, (4, 8)),
@@ -320,7 +318,7 @@ mod tests {
     #[test]
     fn training_with_dropout_still_learns() {
         let corpus: Vec<Vec<u32>> = (0..40).map(|_| vec![4u32, 5, 6, 7]).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let mut rng = Rng::seed_from_u64(12);
         let mut model = BertMlmModel::new(BertConfig::tiny(8), &mut rng);
         let trainer = Trainer::new(
             MlmBatcher::new(1, (4, 8)),
@@ -359,7 +357,7 @@ mod tests {
 
     #[test]
     fn long_sequences_are_windowed_not_dropped() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let mut rng = Rng::seed_from_u64(6);
         let mut model = BertMlmModel::new(BertConfig::tiny(8), &mut rng);
         let long: Vec<u32> = (0..500).map(|i| 4 + (i % 4) as u32).collect();
         let trainer = Trainer::new(

@@ -12,8 +12,7 @@ mod common;
 
 use common::{for_each_case, Gen};
 use kamel_nn::{BertConfig, BertMlmModel, InferScratch};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use kamel_rng::Rng;
 
 const CASES: u64 = 16;
 
@@ -24,7 +23,7 @@ fn model(g: &mut Gen, scales: usize, vocab: usize) -> BertMlmModel {
         0 => BertConfig::tiny(vocab),
         _ => BertConfig::small(vocab),
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64() % 100);
+    let mut rng = Rng::seed_from_u64(g.next_u64() % 100);
     BertMlmModel::new(config, &mut rng)
 }
 

@@ -10,8 +10,7 @@ use kamel_nn::layers::{
     LayerNorm, Linear,
 };
 use kamel_nn::Matrix;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use kamel_rng::Rng;
 
 const CASES: u64 = 32;
 
@@ -120,7 +119,7 @@ fn gelu_properties() {
 #[test]
 fn linear_dx_matches_fd() {
     for_each_case(CASES, |g| {
-        let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64() % 1000);
+        let mut rng = Rng::seed_from_u64(g.next_u64() % 1000);
         let (r, c) = (g.usize_in(0..3), g.usize_in(0..4));
         let mut lin = Linear::new(4, 3, &mut rng);
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
@@ -142,7 +141,7 @@ fn linear_dx_matches_fd() {
 #[test]
 fn dropout_expectation() {
     for_each_case(CASES, |g| {
-        let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64() % 1000);
+        let mut rng = Rng::seed_from_u64(g.next_u64() % 1000);
         let p = g.f32_in(0.0..0.9);
         let x = Matrix::from_fn(30, 30, |_, _| 1.0);
         let (out, mask) = dropout_forward(&x, p, &mut rng);
@@ -192,7 +191,7 @@ fn tensor_section_round_trips_bit_exactly() {
             ff_dim: g.usize_in(1..24),
             max_seq_len: g.usize_in(2..12),
         };
-        let mut rng = ChaCha8Rng::seed_from_u64(g.next_u64());
+        let mut rng = Rng::seed_from_u64(g.next_u64());
         let mut model = BertMlmModel::new(config, &mut rng);
         // Clean weights first: a prediction that means something.
         let (ids, pos) = g.request(config.vocab_size, config.max_seq_len);

@@ -77,18 +77,7 @@ fn assert_all_match_scalar<T: PartialEq + std::fmt::Debug>(results: &[(Backend, 
 fn reductions_are_bit_identical() {
     for_each_case(CASES, |g| {
         let len = len(g);
-        let seed = g.next_u64();
-        let gen = |salt: u64| -> Vec<f32> {
-            (0..len)
-                .map(|i| {
-                    let h = seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(salt + i as u64);
-                    ((h % 2000) as f32 - 1000.0) / 250.0
-                })
-                .collect()
-        };
-        let (a, b) = (gen(1), gen(2));
+        let (a, b) = (g.vec_f32(len, -4.0..4.0), g.vec_f32(len, -4.0..4.0));
         let mean = if len == 0 { 0.0 } else { a.iter().sum::<f32>() / len as f32 };
         assert_all_match_scalar(&across_backends(|| {
             (
@@ -325,10 +314,9 @@ fn layer_ops_are_bit_identical() {
 #[test]
 fn bert_inference_is_bit_identical_across_backends() {
     use kamel_nn::{BertConfig, BertMlmModel, InferScratch};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use kamel_rng::Rng;
 
-    let mut rng = ChaCha8Rng::seed_from_u64(0x51D);
+    let mut rng = Rng::seed_from_u64(0x51D);
     let model = BertMlmModel::new(BertConfig::tiny(13), &mut rng);
     let ids: Vec<u32> = vec![1, 5, 9, 2, 7, 11, 3];
     let results = across_backends(|| {

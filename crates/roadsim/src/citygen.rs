@@ -9,8 +9,7 @@
 
 use crate::network::RoadNetwork;
 use kamel_geo::Xy;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic city.
@@ -101,15 +100,15 @@ impl Slot {
 pub fn generate_city(cfg: &CityConfig) -> RoadNetwork {
     assert!(cfg.cols >= 3 && cfg.rows >= 3, "city must be at least 3x3");
     assert!(cfg.spacing_m > 0.0, "spacing must be positive");
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut net = RoadNetwork::new();
 
     // Choose roundabout slots away from the boundary.
     let mut roundabout_slots = std::collections::HashSet::new();
     let mut guard = 0;
     while roundabout_slots.len() < cfg.roundabouts && guard < cfg.roundabouts * 50 {
-        let c = rng.gen_range(1..cfg.cols - 1);
-        let r = rng.gen_range(1..cfg.rows - 1);
+        let c = rng.range(1..cfg.cols - 1);
+        let r = rng.range(1..cfg.rows - 1);
         roundabout_slots.insert((c, r));
         guard += 1;
     }
@@ -120,8 +119,8 @@ pub fn generate_city(cfg: &CityConfig) -> RoadNetwork {
     for c in 0..cfg.cols {
         let mut col = Vec::with_capacity(cfg.rows);
         for r in 0..cfg.rows {
-            let jx = rng.gen_range(-cfg.jitter_m..=cfg.jitter_m);
-            let jy = rng.gen_range(-cfg.jitter_m..=cfg.jitter_m);
+            let jx = rng.range(-cfg.jitter_m..=cfg.jitter_m);
+            let jy = rng.range(-cfg.jitter_m..=cfg.jitter_m);
             let center = Xy::new(c as f64 * cfg.spacing_m + jx, r as f64 * cfg.spacing_m + jy);
             if roundabout_slots.contains(&(c, r)) {
                 let mut ring = Vec::with_capacity(6);
@@ -149,13 +148,13 @@ pub fn generate_city(cfg: &CityConfig) -> RoadNetwork {
         for r in 0..cfg.rows {
             if c + 1 < cfg.cols {
                 let boundary = r == 0 || r == cfg.rows - 1;
-                if boundary || rng.gen::<f64>() >= cfg.street_removal_prob {
+                if boundary || rng.f64() >= cfg.street_removal_prob {
                     connect_slots(&mut net, &slots[c][r], &slots[c + 1][r]);
                 }
             }
             if r + 1 < cfg.rows {
                 let boundary = c == 0 || c == cfg.cols - 1;
-                if boundary || rng.gen::<f64>() >= cfg.street_removal_prob {
+                if boundary || rng.f64() >= cfg.street_removal_prob {
                     connect_slots(&mut net, &slots[c][r], &slots[c][r + 1]);
                 }
             }
@@ -165,7 +164,7 @@ pub fn generate_city(cfg: &CityConfig) -> RoadNetwork {
     // Diagonal avenues: walk the lattice diagonally from a random boundary
     // start, linking consecutive intersections.
     for d in 0..cfg.diagonals {
-        let start_c = rng.gen_range(0..cfg.cols / 2);
+        let start_c = rng.range(0..cfg.cols / 2);
         let start_r = if d % 2 == 0 { 0 } else { cfg.rows - 1 };
         let dr: isize = if d % 2 == 0 { 1 } else { -1 };
         let (mut c, mut r) = (start_c as isize, start_r as isize);

@@ -9,8 +9,7 @@
 
 use crate::network::RoadNetwork;
 use kamel_geo::{GpsPoint, LocalProjection, Trajectory, Xy};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use kamel_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of trip simulation.
@@ -63,7 +62,7 @@ pub fn generate_trips(
     proj: &LocalProjection,
 ) -> Vec<Trajectory> {
     assert!(cfg.sample_period_s > 0.0 && cfg.speed_mps > 0.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut out = Vec::with_capacity(cfg.n_trips);
     let n_nodes = net.node_count();
     if n_nodes < 2 {
@@ -71,22 +70,22 @@ pub fn generate_trips(
     }
     // Hotspot endpoints: pick attraction nodes once, then sample trip
     // endpoints from a small neighborhood around a random hotspot.
-    let hotspot_nodes: Vec<usize> = (0..cfg.hotspots).map(|_| rng.gen_range(0..n_nodes)).collect();
-    let endpoint = |rng: &mut ChaCha8Rng| -> usize {
-        if hotspot_nodes.is_empty() || rng.gen_bool(0.2) {
+    let hotspot_nodes: Vec<usize> = (0..cfg.hotspots).map(|_| rng.range(0..n_nodes)).collect();
+    let endpoint = |rng: &mut Rng| -> usize {
+        if hotspot_nodes.is_empty() || rng.bool(0.2) {
             // 20% background traffic keeps the rest of the city observed.
-            return rng.gen_range(0..n_nodes);
+            return rng.range(0..n_nodes);
         }
-        let hub = hotspot_nodes[rng.gen_range(0..hotspot_nodes.len())];
+        let hub = hotspot_nodes[rng.range(0..hotspot_nodes.len())];
         // A short random walk from the hub spreads endpoints over its
         // neighborhood.
         let mut node = hub;
-        for _ in 0..rng.gen_range(0..4) {
+        for _ in 0..rng.range(0..4) {
             let neighbors = net.neighbors(node);
             if neighbors.is_empty() {
                 break;
             }
-            node = neighbors[rng.gen_range(0..neighbors.len())].to;
+            node = neighbors[rng.range(0..neighbors.len())].to;
         }
         node
     };
@@ -119,7 +118,7 @@ fn drive(
     polyline: &[Xy],
     cfg: &TripConfig,
     proj: &LocalProjection,
-    rng: &mut impl Rng,
+    rng: &mut Rng,
 ) -> Trajectory {
     let total_len = kamel_geo::polyline_length(polyline);
     let mut points = Vec::with_capacity((total_len / (cfg.speed_mps * cfg.sample_period_s)) as usize + 2);
@@ -166,9 +165,9 @@ fn point_at(polyline: &[Xy], d: f64) -> Xy {
 }
 
 /// Standard normal sample via Box–Muller.
-fn gaussian(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+fn gaussian(rng: &mut Rng) -> f64 {
+    let u1: f64 = rng.range(f64::EPSILON..1.0);
+    let u2 = rng.f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 

@@ -17,6 +17,7 @@ use kamel::checkpoint::fnv1a64;
 use kamel::routing::{routing_cell, DEFAULT_ROUTING_CELL_DEG};
 use kamel_geo::LatLng;
 use kamel_hexgrid::CellId;
+use kamel_rng::splitmix64;
 use serde::Deserialize;
 use std::net::SocketAddr;
 
@@ -197,15 +198,6 @@ impl ShardMap {
     }
 }
 
-/// SplitMix64 finalizer (public-domain constants): turns the shard-id
-/// hash XOR cell bits into a well-distributed rendezvous weight.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +227,20 @@ mod tests {
                 assert_eq!(sorted, vec![0, 1, 2], "a permutation of the fleet");
             }
         }
+    }
+
+    #[test]
+    fn ownership_is_pinned() {
+        // Every router of a fleet must agree on these, across versions: a
+        // change to the weight hash moves cells between live shards.
+        let m = map(&["a", "b", "c"]);
+        let orders: Vec<Vec<usize>> = (-3..3)
+            .map(|q| m.owner_order(CellId::from_coords(q, 7 * q + 3)))
+            .collect();
+        assert_eq!(
+            orders,
+            [[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0], [2, 0, 1], [0, 1, 2]]
+        );
     }
 
     #[test]

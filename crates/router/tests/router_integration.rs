@@ -349,6 +349,30 @@ fn digest_mismatch_refuses_admission() {
     shard_b.shutdown();
 }
 
+/// The thread budget changes how fast a shard answers, not what: shards of
+/// one model started under different `--threads` are one fleet.
+#[test]
+fn shards_differing_only_in_threads_are_one_fleet() {
+    let shard = |threads| {
+        let config = KamelConfig::builder().threads(Some(threads)).build();
+        boot_shard(&Arc::new(Kamel::new(config)))
+    };
+    let (shard_a, shard_b) = (shard(2), shard(3));
+    let map = fleet_map(&[shard_a.local_addr(), shard_b.local_addr()], 1.0);
+    let router = Router::bind(
+        "127.0.0.1:0",
+        map,
+        router_config(3, Duration::from_millis(100)),
+    )
+    .expect("bind router");
+    let core = router.core();
+    assert_eq!(core.available_shards(), 2);
+    assert_eq!(core.metrics().shard(1).admission_refusals.load(Ordering::Relaxed), 0);
+    router.shutdown();
+    shard_a.shutdown();
+    shard_b.shutdown();
+}
+
 #[test]
 fn probe_ejects_a_dead_shard_and_readmits_it_after_recovery() {
     let kamel = trained();

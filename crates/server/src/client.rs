@@ -12,6 +12,8 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use kamel_rng::splitmix64;
+
 /// A parsed HTTP response.
 #[derive(Debug, Clone)]
 pub struct ClientResponse {
@@ -255,15 +257,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64: a tiny, well-distributed integer hash (public domain
-/// constants) used for jitter — deterministic, no RNG state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl RetryPolicy {
     /// The delay before retry number `retry` (0-based), honoring a
     /// server-provided `Retry-After` as a floor. Pure: same inputs, same
@@ -483,6 +476,17 @@ mod tests {
         // Far-out retries saturate at the cap's jitter band, never panic.
         let huge = p.delay(63, None);
         assert!(huge <= p.max_delay && huge >= p.max_delay / 2);
+    }
+
+    #[test]
+    fn jitter_schedule_is_pinned() {
+        // Deployed clients spread their retries by this schedule; a change
+        // to the hash behind it re-synchronises them.
+        let nanos: Vec<u128> = (0..6).map(|r| policy().delay(r, None).as_nanos()).collect();
+        assert_eq!(
+            nanos,
+            [87_078_244, 172_817_877, 242_671_752, 427_432_357, 1_384_159_420, 2_373_138_844]
+        );
     }
 
     #[test]

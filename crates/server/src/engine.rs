@@ -124,9 +124,17 @@ pub struct InfoResponse {
     pub learning: Option<crate::learn::LearningInfo>,
 }
 
-/// The config digest reported in [`InfoResponse::config_digest`].
+/// The config digest reported in [`InfoResponse::config_digest`]: equal
+/// digests mean equal answers. `threads` and `model_memory_budget` change
+/// how fast a shard answers, never what, so they are cleared first — shards
+/// of one fleet may differ in them.
 pub fn config_digest(config: &kamel::KamelConfig) -> String {
-    let bytes = serde_json::to_vec(config).unwrap_or_default();
+    let answering = kamel::KamelConfig {
+        threads: None,
+        model_memory_budget: None,
+        ..config.clone()
+    };
+    let bytes = serde_json::to_vec(&answering).unwrap_or_default();
     format!("fnv1a64:{:016x}", kamel::checkpoint::fnv1a64(&bytes))
 }
 

@@ -16,6 +16,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+include!("../../../tests/common/cases.rs");
+
 /// Uppercasing echo backend: deterministic bytes in, deterministic bytes
 /// out, no cache (so a repeated request never diverges on hit headers).
 struct EchoService;
@@ -195,36 +197,24 @@ fn byte_by_byte_delivery_answers_like_whole_delivery() {
     server.shutdown();
 }
 
-/// The generator behind the seeded cases (same mixer as `kamel-chaos`).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *state;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Any body (0–159 arbitrary bytes), delivered in any fragmentation (up
 /// to 5 cuts), answers byte-identically to whole delivery. A failure
-/// names its seed; rerun that seed alone to reproduce.
+/// names its seed.
 #[test]
 fn fragmented_requests_answer_like_whole_delivery() {
     let server = boot(config());
-    for seed in 0..24u64 {
-        let mut state = seed;
-        let body: Vec<u8> = (0..splitmix64(&mut state) % 160)
-            .map(|_| splitmix64(&mut state) as u8)
-            .collect();
+    for_each_case(24, |g| {
+        let body: Vec<u8> = (0..g.usize_in(0..160)).map(|_| g.next_u64() as u8).collect();
         let request = close_request(&body);
-        let mut cuts: Vec<usize> = (0..splitmix64(&mut state) % 6)
-            .map(|_| 1 + (splitmix64(&mut state) % request.len() as u64) as usize)
+        let mut cuts: Vec<usize> = (0..g.usize_in(0..6))
+            .map(|_| g.usize_in(1..request.len() + 1))
             .collect();
         cuts.sort_unstable();
         cuts.dedup();
         let fragmented = exchange(server.local_addr(), &request, &cuts);
         let whole = exchange(server.local_addr(), &request, &[]);
-        assert_eq!(fragmented, whole, "seed {seed}, cuts {cuts:?}");
-    }
+        assert_eq!(fragmented, whole, "cuts {cuts:?}");
+    });
     server.shutdown();
 }
 

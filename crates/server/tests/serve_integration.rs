@@ -374,6 +374,29 @@ fn info_reports_model_identity_over_http() {
     server.shutdown();
 }
 
+/// The digest covers what changes answers and nothing else: two checkpoints
+/// of one training run served under different `--threads` or
+/// `--model-memory-budget` are the same model.
+#[test]
+fn config_digest_ignores_execution_only_fields() {
+    let base = KamelConfig::default();
+    let digest = config_digest(&base);
+    let with = |edit: fn(&mut KamelConfig)| {
+        let mut config = base.clone();
+        edit(&mut config);
+        config_digest(&config)
+    };
+    assert_eq!(with(|c| c.threads = Some(2)), digest);
+    assert_eq!(with(|c| c.threads = Some(8)), digest);
+    assert_eq!(with(|c| c.model_memory_budget = Some(1 << 20)), digest);
+    assert_ne!(with(|c| c.beam_size += 1), digest);
+    assert_ne!(with(|c| c.quantize = !c.quantize), digest);
+    // Shard-map files pin this value; it must not move for a config that
+    // sets neither field.
+    let bytes = serde_json::to_vec(&base).unwrap();
+    assert_eq!(digest, format!("fnv1a64:{:016x}", kamel::checkpoint::fnv1a64(&bytes)));
+}
+
 #[test]
 fn untrained_system_still_serves_linear_fallback() {
     let kamel = Arc::new(Kamel::new(KamelConfig::default()));

@@ -98,8 +98,8 @@ pub struct PackStats {
     pub int8_bytes: u64,
 }
 
-/// FNV-1a64 digest of a config's JSON — the store↔process compatibility
-/// check, matching the digest `kamel-server` reports on `/v1/info`.
+/// FNV-1a64 digest of a config's JSON: the check that a store's header
+/// and its meta record describe the same system.
 pub fn config_digest_of(config: &KamelConfig) -> u64 {
     fnv1a64(&serde_json::to_vec(config).unwrap_or_default())
 }
