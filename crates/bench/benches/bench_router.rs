@@ -25,7 +25,7 @@ use kamel_bench::loadgen::{self, percentile_us, LoadPlan};
 use kamel_bench::{default_kamel_config, City};
 use kamel_geo::Trajectory;
 use kamel_roadsim::DatasetScale;
-use kamel_router::{HealthPolicy, Router, RouterConfig, ShardInfo, ShardMap};
+use kamel_router::{GatePolicy, Router, RouterConfig, ShardInfo, ShardMap};
 use kamel_server::{Client, ImputeEngine, Server, ServerConfig};
 use serde_json::json;
 use std::net::SocketAddr;
@@ -69,9 +69,11 @@ fn bind_router(addrs: &[SocketAddr], max_connections: usize) -> Router {
         RouterConfig {
             handlers: 16,
             timeout: Duration::from_secs(60),
-            health: HealthPolicy {
-                eject_after: 1,
+            // Eject on the first failure; no probe during a scenario.
+            gate: GatePolicy {
+                window: 1,
                 probe_interval: Duration::from_secs(600),
+                ..GatePolicy::default()
             },
             max_connections,
             ..RouterConfig::default()

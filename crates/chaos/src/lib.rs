@@ -33,7 +33,7 @@
 //! Everything is `std`-only (the build environment has no crates
 //! registry). The CLI front-end is `kamel chaos`; the protocol-level
 //! consumers are `crates/router/tests/chaos_integration.rs` and the CI
-//! `chaos-smoke` job. See `DESIGN.md` §14.4 for the schedule format.
+//! `chaos-smoke` job. See `DESIGN.md` §14.3 for the schedule format.
 
 #![warn(missing_docs)]
 

@@ -985,33 +985,57 @@ pub fn learn(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// SIGINT or SIGTERM, then drains in-flight requests.
 pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let help = "kamel route (--shard HOST:PORT,... | --shard-map FILE) [--addr HOST:PORT]\n\
-        \x20           [--cell-deg D] [--eject-after N] [--probe-interval-ms N]\n\
-        \x20           [--timeout-ms N] [--handlers N] [--default-deadline-ms N]\n\
-        \x20           [--breaker-window N] [--breaker-threshold R]\n\
-        \x20           [--breaker-open-ms N] [--degraded-mode]\n\
+        \x20           [--cell-deg D] [--eject-window N] [--eject-threshold R]\n\
+        \x20           [--probe-interval-ms N] [--timeout-ms N] [--handlers N]\n\
+        \x20           [--default-deadline-ms N] [--degraded-mode]\n\
         \x20           [--degraded-max-gap-m M] [--max-connections N]\n\
         \x20           [--idle-timeout-ms N]\n\n\
         serves POST /v1/impute (proxied), GET /healthz, GET /metrics,\n\
         GET /v1/shards until SIGTERM/ctrl-c; --cell-deg sets the routing\n\
         grid for --shard fleets (a --shard-map file carries its own);\n\
         --default-deadline-ms is the budget granted to requests without an\n\
-        x-kamel-deadline-ms header; the breaker trips a shard open when\n\
-        --breaker-threshold (ratio) of the last --breaker-window forwards\n\
-        failed, refusing it for --breaker-open-ms before probing;\n\
-        --degraded-mode answers requests no shard can serve from the\n\
-        linear baseline (marked \"degraded\": true) instead of 502/503;\n\
-        --max-connections caps concurrent client sockets (excess accepts\n\
-        get 503) and --idle-timeout-ms closes idle/slow-loris keep-alive\n\
-        connections";
+        x-kamel-deadline-ms header; a shard is ejected when --eject-threshold\n\
+        (a share in (0, 1], default 0.5, rounded up) of its last\n\
+        --eject-window (default 6) outcomes failed — an error, a 5xx, a\n\
+        forward slower than 2 s or a failed probe; window 1 ejects on the\n\
+        first failure — and is probed every --probe-interval-ms (default\n\
+        500) until it is healthy again, then re-admitted after two trial\n\
+        forwards succeed; --degraded-mode answers requests no shard can\n\
+        serve from the linear baseline (marked \"degraded\": true) instead\n\
+        of 502/503; --max-connections caps concurrent client sockets\n\
+        (excess accepts get 503) and --idle-timeout-ms closes\n\
+        idle/slow-loris keep-alive connections";
     let values = [
-        "--shard", "--shard-map", "--addr", "--cell-deg", "--eject-after",
+        "--shard", "--shard-map", "--addr", "--cell-deg", "--eject-window", "--eject-threshold",
         "--probe-interval-ms", "--timeout-ms", "--handlers", "--default-deadline-ms",
-        "--breaker-window", "--breaker-threshold", "--breaker-open-ms", "--degraded-max-gap-m",
-        "--max-connections", "--idle-timeout-ms",
+        "--degraded-max-gap-m", "--max-connections", "--idle-timeout-ms",
     ];
     let Some(flags) = Flags::parse("route", help, &values, &["--degraded-mode"], args, out)? else {
         return Ok(());
     };
+    // Out-of-range resilience values are refused, not rewritten — and
+    // before the fleet is read or a socket bound.
+    let defaults = kamel_router::GatePolicy::default();
+    let gate = kamel_router::GatePolicy {
+        window: flags.get_usize("--eject-window", defaults.window)?,
+        failure_ratio: flags.get_f64("--eject-threshold", defaults.failure_ratio)?,
+        probe_interval: std::time::Duration::from_millis(
+            flags.get_u64("--probe-interval-ms", defaults.probe_interval.as_millis() as u64)?,
+        ),
+        ..defaults
+    };
+    if gate.window == 0 {
+        return Err("flag `--eject-window` expects an integer >= 1, got `0`".into());
+    }
+    if !(gate.failure_ratio > 0.0 && gate.failure_ratio <= 1.0) {
+        return Err(format!(
+            "flag `--eject-threshold` expects a share in (0, 1], got `{}`",
+            gate.failure_ratio
+        ));
+    }
+    if gate.probe_interval.is_zero() {
+        return Err("flag `--probe-interval-ms` expects an integer >= 1, got `0`".into());
+    }
     let map = match (flags.get("--shard-map"), flags.get("--shard")) {
         (Some(path), None) => kamel_router::ShardMap::from_json_file(Path::new(path))?,
         (None, Some(list)) => {
@@ -1029,20 +1053,7 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         timeout: std::time::Duration::from_millis(
             flags.get_u64("--timeout-ms", 10_000)?.max(1),
         ),
-        health: kamel_router::HealthPolicy {
-            eject_after: flags.get_u64("--eject-after", 3)?.clamp(1, u64::from(u32::MAX)) as u32,
-            probe_interval: std::time::Duration::from_millis(
-                flags.get_u64("--probe-interval-ms", 500)?.max(1),
-            ),
-        },
-        breaker: kamel_router::BreakerPolicy {
-            window: flags.get_usize("--breaker-window", 16)?.max(2),
-            failure_ratio: flags.get_f64("--breaker-threshold", 0.5)?.clamp(0.01, 1.0),
-            open_for: std::time::Duration::from_millis(
-                flags.get_u64("--breaker-open-ms", 2_000)?.max(1),
-            ),
-            ..kamel_router::BreakerPolicy::default()
-        },
+        gate,
         default_deadline: std::time::Duration::from_millis(
             flags.get_u64("--default-deadline-ms", 10_000)?.max(1),
         ),
@@ -1062,12 +1073,13 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let _ = writeln!(
         out,
         "kamel-router listening on http://{} ({} shards, {} admitted, cell {} deg, \
-         eject after {} failures)",
+         eject at {} failures in {})",
         router.local_addr(),
         core.map().len(),
         core.available_shards(),
         core.map().cell_deg(),
-        core.config().health.eject_after,
+        core.config().gate.trip_at(),
+        core.config().gate.window,
     );
     let _ = out.flush();
     while !signals.is_tripped() {
@@ -1081,7 +1093,7 @@ pub fn route(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 }
 
 /// `kamel chaos`: a deterministic fault-injecting TCP proxy for
-/// resilience drills (DESIGN.md §14.4).
+/// resilience drills (DESIGN.md §14.3).
 ///
 /// Sits between a router (or client) and one upstream `kamel serve`,
 /// assigning each accepted connection a fault — connect refusal, silent

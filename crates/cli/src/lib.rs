@@ -296,11 +296,37 @@ mod tests {
             "route",
             &["--shard", "127.0.0.1:1", "--addr", "nowhere"],
             &[
-                "--handlers", "--timeout-ms", "--eject-after", "--probe-interval-ms",
-                "--breaker-window", "--breaker-open-ms", "--default-deadline-ms",
-                "--max-connections", "--idle-timeout-ms",
+                "--handlers", "--timeout-ms", "--eject-window", "--probe-interval-ms",
+                "--default-deadline-ms", "--max-connections", "--idle-timeout-ms",
             ],
         );
+        // The gate's flags refuse what they cannot mean, naming the flag,
+        // before the unusable address is bound; window 1 is in range. The
+        // two machines' flags this replaced are unknown now.
+        let route = |extra: &[&str]| {
+            let reach = ["route", "--shard", "127.0.0.1:1", "--addr", "nowhere"];
+            run_capture(&[&reach[..], extra].concat())
+        };
+        for (flag, bad) in [
+            ("--eject-window", "0"),
+            ("--eject-threshold", "0"),
+            ("--eject-threshold", "7"),
+            ("--eject-threshold", "-0.5"),
+            ("--eject-threshold", "nan"),
+            ("--probe-interval-ms", "0"),
+        ] {
+            let (code, out) = route(&[flag, bad]);
+            assert_eq!(code, 1, "{flag} {bad}: {out}");
+            assert!(out.contains(&format!("flag `{flag}` expects")), "{flag} {bad}: {out}");
+            assert!(!out.contains("bind"), "{flag} {bad} reached the socket: {out}");
+        }
+        let (_, out) = route(&["--eject-window", "1", "--eject-threshold", "1"]);
+        assert!(out.contains("bind nowhere"), "in range, so it got as far as binding: {out}");
+        for gone in ["--eject-after", "--breaker-open-ms", "--breaker-window", "--breaker-threshold"] {
+            let (code, out) = route(&[gone, "3"]);
+            assert_eq!(code, 1, "{gone}: {out}");
+            assert!(out.contains(&format!("unknown flag `{gone}` for `kamel route`")), "{out}");
+        }
         check("c10k", &["--addr", "127.0.0.1:1"], &["--connections", "--timeout-ms", "--gauge-wait-ms"]);
         let chaos = ["--upstream", "127.0.0.1:1", "--listen", "nowhere"];
         check("chaos", &chaos, &["--seed"]);

@@ -18,7 +18,10 @@ fn run(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn full_workflow() {
-    let dir = workdir();
+    // Its own subdirectory: removing the shared root at the end would pull
+    // the files out from under the tests running beside it.
+    let dir = workdir().join("full");
+    std::fs::create_dir_all(&dir).unwrap();
     let train_csv = dir.join("train.csv");
     let truth_csv = dir.join("truth.csv");
     let model = dir.join("model.json");

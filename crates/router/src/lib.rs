@@ -14,36 +14,32 @@
 //! * **Scatter-gather** — a trajectory spanning territories is split at
 //!   ownership changes into boundary-sharing sub-trajectories, imputed in
 //!   parallel, and merged in order ([`proxy`]).
-//! * **Health + failover** — per-shard consecutive-failure ejection with
-//!   periodic probe re-admission ([`health`]), and deterministic replica
-//!   failover down each cell's rendezvous chain. Admission is gated on
-//!   the shard's `/v1/info` config digest matching the fleet, so a
-//!   mixed-grid shard can never serve a request.
-//! * **Overload resilience** — per-shard circuit breakers ([`breaker`])
-//!   skip a failing/slow shard in O(1) ahead of the health machine;
-//!   every request carries a deadline budget (`x-kamel-deadline-ms` or
+//! * **Availability + failover** — one clock-free state machine per
+//!   shard ([`gate`]) ejects a dead, failing, slow or foreign-digest
+//!   shard, skips it in O(1) on the deterministic walk down each cell's
+//!   rendezvous chain, and re-admits it through probe-gated probation.
+//!   Every request carries a deadline budget (`x-kamel-deadline-ms` or
 //!   the configured default) that is re-stamped on each forward and
 //!   turns into an honest 504 when spent; and with `--degraded-mode` a
 //!   request no shard can serve is answered from the linear baseline,
-//!   marked `"degraded": true` + `x-kamel-degraded` (DESIGN.md §14).
+//!   marked `"degraded": true` + `x-kamel-degraded` (DESIGN.md §11.4,
+//!   §14).
 //!
 //! Endpoints: `POST /v1/impute` (proxied), `GET /healthz`,
-//! `GET /metrics` (per-shard request / failover / ejection counters and
-//! in-flight gauges), `GET /v1/shards` (the live map + health). The CLI
-//! front-end is `kamel route`; the protocol and failover state machine
-//! are specified in `DESIGN.md` §11.
+//! `GET /metrics` (per-shard request / failover / ejection counters,
+//! state and in-flight gauges), `GET /v1/shards` (the live map + gate
+//! states). The CLI front-end is `kamel route`; the protocol and the
+//! gate are specified in `DESIGN.md` §11.
 
 #![warn(missing_docs)]
 
-pub mod breaker;
-pub mod health;
+pub mod gate;
 pub mod metrics;
 pub mod proxy;
 pub mod router;
 pub mod shardmap;
 
-pub use breaker::{Breaker, BreakerEvent, BreakerPolicy, BreakerState};
-pub use health::{HealthPolicy, HealthState, ShardState};
+pub use gate::{Gate, GatePolicy, Permit, Probe, ShardState};
 pub use metrics::{RouterMetrics, ShardCounters};
 pub use proxy::{RouterConfig, RouterCore};
 pub use router::Router;

@@ -11,26 +11,21 @@ pub struct ShardCounters {
     pub forwarded: AtomicU64,
     /// Forward attempts that failed (transport error or 5xx).
     pub errors: AtomicU64,
-    /// Requests that failed over *past* this shard (it was ejected,
-    /// unverified, or just failed) to a replica further down the chain.
+    /// Requests that failed over *past* this shard (the gate refused it,
+    /// or it just failed) to a replica further down the chain.
     pub failovers: AtomicU64,
-    /// Times this shard was ejected by the health machine.
+    /// Times the gate ejected this shard (from active or probation).
     pub ejections: AtomicU64,
-    /// Times it was admitted at boot / re-admitted after an ejection.
+    /// Times a healthy probe moved it from ejected to probation.
+    pub probations: AtomicU64,
+    /// Times it became active: admitted at boot, or re-activated after
+    /// its probation trials.
     pub admissions: AtomicU64,
-    /// Probe admissions refused because the shard's `/v1/info` config
-    /// digest disagreed with the fleet.
+    /// Probes that found the shard's `/v1/info` config digest
+    /// disagreeing with the fleet.
     pub admission_refusals: AtomicU64,
     /// Forwards currently in flight (gauge).
     pub inflight: AtomicU64,
-    /// Times this shard's circuit breaker tripped open.
-    pub breaker_opens: AtomicU64,
-    /// Times the breaker went half-open (open timer elapsed, probing).
-    pub breaker_half_opens: AtomicU64,
-    /// Times the breaker closed after successful half-open probes.
-    pub breaker_closes: AtomicU64,
-    /// Forwards skipped in O(1) because the breaker refused admission.
-    pub breaker_skips: AtomicU64,
 }
 
 /// The router's metrics registry.
@@ -142,51 +137,30 @@ impl RouterMetrics {
         labeled(
             &mut out,
             "kamel_router_ejections_total",
-            "Health-machine ejections per shard.",
+            "Ejections per shard.",
             "counter",
             &|c| c.ejections.load(Ordering::Relaxed),
         );
         labeled(
             &mut out,
+            "kamel_router_probations_total",
+            "Ejected shards a healthy probe put on probation.",
+            "counter",
+            &|c| c.probations.load(Ordering::Relaxed),
+        );
+        labeled(
+            &mut out,
             "kamel_router_admissions_total",
-            "Admissions and re-admissions per shard.",
+            "Boot admissions and re-activations after probation per shard.",
             "counter",
             &|c| c.admissions.load(Ordering::Relaxed),
         );
         labeled(
             &mut out,
             "kamel_router_admission_refusals_total",
-            "Admissions refused on a config-digest mismatch per shard.",
+            "Probes that found a foreign config digest per shard.",
             "counter",
             &|c| c.admission_refusals.load(Ordering::Relaxed),
-        );
-        labeled(
-            &mut out,
-            "kamel_router_breaker_opens_total",
-            "Circuit-breaker trips (Closed/HalfOpen to Open) per shard.",
-            "counter",
-            &|c| c.breaker_opens.load(Ordering::Relaxed),
-        );
-        labeled(
-            &mut out,
-            "kamel_router_breaker_half_opens_total",
-            "Breaker transitions to HalfOpen (probing) per shard.",
-            "counter",
-            &|c| c.breaker_half_opens.load(Ordering::Relaxed),
-        );
-        labeled(
-            &mut out,
-            "kamel_router_breaker_closes_total",
-            "Breaker closes after successful half-open probes per shard.",
-            "counter",
-            &|c| c.breaker_closes.load(Ordering::Relaxed),
-        );
-        labeled(
-            &mut out,
-            "kamel_router_breaker_skips_total",
-            "Forwards skipped because the breaker refused admission.",
-            "counter",
-            &|c| c.breaker_skips.load(Ordering::Relaxed),
         );
         labeled(
             &mut out,
@@ -210,16 +184,15 @@ mod tests {
         m.shard(0).forwarded.store(4, Ordering::Relaxed);
         m.shard(1).ejections.store(1, Ordering::Relaxed);
         m.shard(1).inflight.store(2, Ordering::Relaxed);
-        m.shard(0).breaker_opens.store(3, Ordering::Relaxed);
+        m.shard(0).probations.store(3, Ordering::Relaxed);
         m.requests_deadline.store(5, Ordering::Relaxed);
         m.degraded.store(6, Ordering::Relaxed);
         let page = m.render();
         assert!(page.contains("kamel_router_requests_ok_total 7"), "{page}");
         assert!(page.contains("kamel_router_deadline_exceeded_total 5"), "{page}");
         assert!(page.contains("kamel_router_degraded_total 6"), "{page}");
-        assert!(page.contains("kamel_router_breaker_opens_total{shard=\"west\"} 3"), "{page}");
-        assert!(page.contains("kamel_router_breaker_skips_total{shard=\"east\"} 0"), "{page}");
-        assert!(page.contains("kamel_router_breaker_closes_total{shard=\"west\"} 0"), "{page}");
+        assert!(page.contains("kamel_router_probations_total{shard=\"west\"} 3"), "{page}");
+        assert!(page.contains("kamel_router_admissions_total{shard=\"east\"} 0"), "{page}");
         assert!(page.contains("kamel_router_shard_requests_total{shard=\"west\"} 4"), "{page}");
         assert!(page.contains("kamel_router_shard_requests_total{shard=\"east\"} 0"), "{page}");
         assert!(page.contains("kamel_router_ejections_total{shard=\"east\"} 1"), "{page}");

@@ -19,13 +19,13 @@
 //! ## Failover
 //!
 //! Each cell's rendezvous order is primary + replicas. A forward walks
-//! that chain: unavailable shards (ejected / unverified) are skipped, a
-//! transport error or 5xx records a health failure and moves on, and the
+//! that chain: shards the [`Gate`] refuses (unverified, ejected, or on
+//! probation with a trial already in flight) are skipped, a transport
+//! error or 5xx is recorded against the shard and moves on, and the
 //! first 2xx–4xx wins. The chain is deterministic, so concurrent clients
-//! agree on who serves a cell at every health state.
+//! agree on who serves a cell at every fleet state.
 
-use crate::breaker::{Breaker, BreakerEvent, BreakerPolicy};
-use crate::health::{HealthPolicy, HealthState, ShardState};
+use crate::gate::{Gate, GatePolicy, Probe, ShardState};
 use crate::metrics::RouterMetrics;
 use crate::shardmap::ShardMap;
 use kamel::routing::gap_anchor_cells;
@@ -57,18 +57,16 @@ pub struct RouterConfig {
     /// Per-shard retry policy (kept tight: replica failover is the real
     /// retry; see [`RetryPolicy`]).
     pub retry: RetryPolicy,
-    /// Ejection threshold and probe cadence.
-    pub health: HealthPolicy,
-    /// Per-shard circuit-breaker thresholds.
-    pub breaker: BreakerPolicy,
+    /// Per-shard ejection rule and probe cadence.
+    pub gate: GatePolicy,
     /// Pooled connections kept per shard.
     pub max_pool: usize,
     /// Deadline budget granted to requests that carry no
     /// `x-kamel-deadline-ms` header. The remaining budget is re-stamped
     /// on every forward, so shards shed work the router has given up on.
     pub default_deadline: Duration,
-    /// When `true`, requests no shard can serve (all replicas down or
-    /// breaker-open, or the budget nearly spent) are answered from the
+    /// When `true`, requests no shard can serve (every replica refused
+    /// or failing, or the budget nearly spent) are answered from the
     /// linear-interpolation baseline — marked degraded — instead of
     /// 502/503.
     pub degraded: bool,
@@ -95,8 +93,7 @@ impl Default for RouterConfig {
                 deadline: Duration::from_secs(5),
                 jitter_seed: 0x6b61_6d65_6c00_0002,
             },
-            health: HealthPolicy::default(),
-            breaker: BreakerPolicy::default(),
+            gate: GatePolicy::default(),
             max_pool: 8,
             default_deadline: Duration::from_secs(10),
             degraded: false,
@@ -113,7 +110,7 @@ struct ShardStatus {
     id: String,
     addr: String,
     state: &'static str,
-    consecutive_failures: u32,
+    window_failures: usize,
 }
 
 /// The `GET /v1/shards` body.
@@ -124,15 +121,13 @@ struct ShardsPage {
     shards: Vec<ShardStatus>,
 }
 
-/// Shared routing state: the map, the fleet's health, per-shard
+/// Shared routing state: the map, the fleet's gates, per-shard
 /// connection pools, and metrics.
 pub struct RouterCore {
     map: ShardMap,
-    health: HealthState,
+    gate: Gate,
     metrics: Arc<RouterMetrics>,
     pools: Vec<Mutex<Vec<RetryingClient>>>,
-    /// One circuit breaker per shard, indexed like the map.
-    breakers: Vec<Breaker>,
     /// The config digest the fleet is pinned to: the map's
     /// `config_digest` when present, else the digest of the first shard
     /// admitted (first-writer-wins).
@@ -148,35 +143,24 @@ impl RouterCore {
         Self::with_clock(map, config, Arc::new(SystemClock))
     }
 
-    /// [`RouterCore::new`] with an injected clock, so deadline and
-    /// breaker-timer decisions are deterministic under test.
+    /// [`RouterCore::new`] with an injected clock, so deadline decisions
+    /// are deterministic under test.
     pub fn with_clock(map: ShardMap, config: RouterConfig, clock: Arc<dyn Clock>) -> Self {
         let metrics = Arc::new(RouterMetrics::new(
             map.shards().iter().map(|s| s.id.clone()).collect(),
         ));
-        let health = HealthState::new(map.len(), config.health.clone());
+        let gate = Gate::new(map.len(), &config.gate);
         let pools = map.shards().iter().map(|_| Mutex::new(Vec::new())).collect();
-        let breakers = map
-            .shards()
-            .iter()
-            .map(|_| Breaker::new(config.breaker.clone(), Arc::clone(&clock)))
-            .collect();
         let fleet_digest = Mutex::new(map.expected_digest().map(str::to_string));
         Self {
             map,
-            health,
+            gate,
             metrics,
             pools,
-            breakers,
             fleet_digest,
             clock,
             config,
         }
-    }
-
-    /// Shard `i`'s circuit breaker.
-    pub fn breaker(&self, shard: usize) -> &Breaker {
-        &self.breakers[shard]
     }
 
     /// The shard map.
@@ -184,9 +168,9 @@ impl RouterCore {
         &self.map
     }
 
-    /// The fleet's health.
-    pub fn health(&self) -> &HealthState {
-        &self.health
+    /// The fleet's gates.
+    pub fn gate(&self) -> &Gate {
+        &self.gate
     }
 
     /// The metrics registry.
@@ -199,24 +183,29 @@ impl RouterCore {
         &self.config
     }
 
-    /// The clock the core makes deadline and breaker decisions with;
+    /// The clock the core makes deadline decisions with;
     /// the reactor shares it so socket timers agree with deadlines.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
     }
 
-    /// Number of currently admitted shards.
+    /// Number of shards currently admitted to traffic (active or on
+    /// probation).
     pub fn available_shards(&self) -> usize {
-        (0..self.map.len()).filter(|&i| self.health.is_available(i)).count()
+        self.gate
+            .snapshot()
+            .iter()
+            .filter(|(state, _)| matches!(state, ShardState::Active | ShardState::Probation))
+            .count()
     }
 
     // ---- probing / admission ----
 
-    /// One probe sweep over the whole fleet: active shards are health-
-    /// checked (probe failures count toward ejection like request
-    /// failures), unverified/ejected shards are (re-)admitted when they
-    /// answer `/healthz` healthy and their `/v1/info` config digest
-    /// matches the fleet.
+    /// One probe sweep over the whole fleet. Every shard, whatever its
+    /// state, gets the same verdict — healthy `/healthz` ∧ `/v1/info`
+    /// config digest matches the fleet — and the gate decides what it
+    /// means: admission, probation, a failure in the window, or (a
+    /// foreign digest on a serving shard) ejection.
     pub fn probe_all(&self) {
         for shard in 0..self.map.len() {
             self.probe_shard(shard);
@@ -224,13 +213,26 @@ impl RouterCore {
     }
 
     fn probe_shard(&self, shard: usize) {
-        match self.probe_info(shard) {
-            Ok(info) => match self.health.state(shard) {
-                ShardState::Active => self.health.record_success(shard),
-                ShardState::Unverified | ShardState::Ejected => self.try_admit(shard, &info),
-            },
-            Err(_) => self.record_shard_failure(shard),
+        let info = self.probe_info(shard);
+        let verdict = match &info {
+            Ok(info) if self.digest_matches(info) => Probe::Healthy,
+            Ok(_) => Probe::Foreign,
+            Err(_) => Probe::Failed,
+        };
+        let entered = self.gate.probe(shard, verdict);
+        if let (Probe::Foreign, Ok(info)) = (verdict, &info) {
+            let refusals = &self.metrics.shard(shard).admission_refusals;
+            // Logged when it first keeps a shard out and whenever it takes
+            // a serving one out, not on every sweep that finds it unchanged.
+            if refusals.fetch_add(1, Ordering::Relaxed) == 0 || entered.is_some() {
+                eprintln!(
+                    "kamel-router: refusing shard `{}`: config digest {} disagrees with the fleet",
+                    self.map.shards()[shard].id,
+                    info.config_digest,
+                );
+            }
         }
+        self.note(shard, entered);
     }
 
     /// `/healthz` + `/v1/info` over a fresh, short-lived connection.
@@ -249,43 +251,29 @@ impl RouterCore {
         serde_json::from_slice(&info.body).map_err(|e| format!("bad /v1/info body: {e}"))
     }
 
-    /// Digest-checked admission: the first admitted shard pins the fleet
-    /// digest when the map does not; a disagreeing shard is refused (and
-    /// stays out until its digest matches).
-    fn try_admit(&self, shard: usize, info: &InfoResponse) {
-        let matches = {
-            let mut pinned = self.fleet_digest.lock().unwrap();
-            match pinned.as_deref() {
-                Some(expected) => expected == info.config_digest,
-                None => {
-                    *pinned = Some(info.config_digest.clone());
-                    true
-                }
+    /// The first healthy shard pins the fleet digest when the map does
+    /// not; after that a shard matches or is foreign.
+    fn digest_matches(&self, info: &InfoResponse) -> bool {
+        let mut pinned = self.fleet_digest.lock().expect("fleet digest poisoned");
+        match pinned.as_deref() {
+            Some(expected) => expected == info.config_digest,
+            None => {
+                *pinned = Some(info.config_digest.clone());
+                true
             }
-        };
-        if !matches {
-            self.metrics
-                .shard(shard)
-                .admission_refusals
-                .fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "kamel-router: refusing shard `{}`: config digest {} disagrees with the fleet",
-                self.map.shards()[shard].id,
-                info.config_digest,
-            );
-            return;
-        }
-        if self.health.admit(shard).is_some() {
-            self.metrics.shard(shard).admissions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Records a failed forward/probe; bumps the ejection counter when
-    /// this failure tripped the health machine.
-    fn record_shard_failure(&self, shard: usize) {
-        if self.health.record_failure(shard) {
-            self.metrics.shard(shard).ejections.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Counts the state a gate event moved `shard` into, if it moved.
+    fn note(&self, shard: usize, entered: Option<ShardState>) {
+        let counters = self.metrics.shard(shard);
+        let counter = match entered {
+            Some(ShardState::Active) => &counters.admissions,
+            Some(ShardState::Ejected) => &counters.ejections,
+            Some(ShardState::Probation) => &counters.probations,
+            Some(ShardState::Unverified) | None => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     // ---- request path ----
@@ -362,26 +350,14 @@ impl RouterCore {
         self.scatter_gather(&sparse, &cells, &assigned, deadline)
     }
 
-    /// The first shard in the cell's rendezvous order that is admitted
-    /// *and* whose breaker would let a forward through — a tripped owner
-    /// costs one boolean here, not a connection timeout.
+    /// The first shard in the cell's rendezvous order the gate would
+    /// admit — a refused owner costs one boolean here, not a connection
+    /// timeout.
     fn first_available(&self, cell: CellId) -> Option<usize> {
         self.map
             .owner_order(cell)
             .into_iter()
-            .find(|&s| self.health.is_available(s) && self.breakers[s].would_allow())
-    }
-
-    /// Records a breaker transition in the per-shard counters.
-    fn note_breaker_event(&self, shard: usize, event: BreakerEvent) {
-        let counters = self.metrics.shard(shard);
-        match event {
-            BreakerEvent::Opened => counters.breaker_opens.fetch_add(1, Ordering::Relaxed),
-            BreakerEvent::HalfOpened => {
-                counters.breaker_half_opens.fetch_add(1, Ordering::Relaxed)
-            }
-            BreakerEvent::Closed => counters.breaker_closes.fetch_add(1, Ordering::Relaxed),
-        };
+            .find(|&s| self.gate.would_admit(s))
     }
 
     /// The degraded linear answer: imputed locally, marked in both the
@@ -441,10 +417,9 @@ impl RouterCore {
     }
 
     /// Walks the cell's candidate chain until a shard answers below 500.
-    /// Unavailable and breaker-refused shards are skipped in O(1);
-    /// failures feed both the health machine and the breaker (a success
-    /// slower than the breaker's latency threshold counts against it).
-    /// The remaining deadline budget is checked before every hop.
+    /// Shards the gate refuses are skipped in O(1); every forward's
+    /// outcome and latency go back to the gate. The remaining deadline
+    /// budget is checked before every hop.
     fn forward_chain(
         &self,
         cell: CellId,
@@ -452,46 +427,27 @@ impl RouterCore {
         deadline: Instant,
     ) -> Result<(usize, ClientResponse), ChainError> {
         for shard in self.map.owner_order(cell) {
-            if !self.health.is_available(shard) {
-                self.metrics.shard(shard).failovers.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let (permit, event) = self.breakers[shard].admit();
-            if let Some(event) = event {
-                self.note_breaker_event(shard, event);
-            }
-            let Some(permit) = permit else {
-                self.metrics.shard(shard).breaker_skips.fetch_add(1, Ordering::Relaxed);
-                self.metrics.shard(shard).failovers.fetch_add(1, Ordering::Relaxed);
+            let counters = self.metrics.shard(shard);
+            let Some(permit) = self.gate.admit(shard) else {
+                counters.failovers.fetch_add(1, Ordering::Relaxed);
                 continue;
             };
             let start = self.clock.now();
             if start >= deadline {
                 // Too late to forward anywhere; the permit saw no
-                // traffic, so it frees its probe slot without a verdict.
-                self.breakers[shard].release(permit);
+                // traffic, so it frees its trial slot without a verdict.
+                self.gate.release(shard, permit);
                 return Err(ChainError::Deadline);
             }
-            let remaining = deadline - start;
-            let outcome = self.forward_once(shard, body, remaining);
+            let outcome = self.forward_once(shard, body, deadline - start);
             let latency = self.clock.now().saturating_duration_since(start);
-            match outcome {
-                Ok(resp) if resp.status < 500 => {
-                    if let Some(event) = self.breakers[shard].record(permit, true, latency) {
-                        self.note_breaker_event(shard, event);
-                    }
-                    self.health.record_success(shard);
-                    return Ok((shard, resp));
-                }
-                Ok(_) | Err(_) => {
-                    if let Some(event) = self.breakers[shard].record(permit, false, latency) {
-                        self.note_breaker_event(shard, event);
-                    }
-                    self.metrics.shard(shard).errors.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.shard(shard).failovers.fetch_add(1, Ordering::Relaxed);
-                    self.record_shard_failure(shard);
-                }
+            let answered = outcome.ok().filter(|resp| resp.status < 500);
+            self.note(shard, self.gate.record(shard, permit, answered.is_some(), latency));
+            if let Some(resp) = answered {
+                return Ok((shard, resp));
             }
+            counters.errors.fetch_add(1, Ordering::Relaxed);
+            counters.failovers.fetch_add(1, Ordering::Relaxed);
         }
         Err(ChainError::Exhausted)
     }
@@ -637,30 +593,33 @@ impl RouterCore {
     // ---- introspection ----
 
     /// The `GET /metrics` page: the counter registry plus the live
-    /// per-shard breaker state gauge (0 closed, 1 half-open, 2 open).
+    /// per-shard state gauge (0 active, 1 probation, 2 ejected,
+    /// 3 unverified).
     pub fn metrics_page(&self) -> String {
         let mut page = self.metrics.render();
         page.push_str(
-            "# HELP kamel_router_breaker_state Breaker state per shard (0 closed, 1 half-open, 2 open).\n\
-             # TYPE kamel_router_breaker_state gauge\n",
+            "# HELP kamel_router_shard_state Gate state per shard (0 active, 1 probation, 2 ejected, 3 unverified).\n\
+             # TYPE kamel_router_shard_state gauge\n",
         );
-        for (shard, breaker) in self.map.shards().iter().zip(&self.breakers) {
+        for (shard, (state, _)) in self.map.shards().iter().zip(self.gate.snapshot()) {
             page.push_str(&format!(
-                "kamel_router_breaker_state{{shard=\"{}\"}} {}\n",
+                "kamel_router_shard_state{{shard=\"{}\"}} {}\n",
                 shard.id,
-                breaker.state().gauge()
+                state.gauge()
             ));
         }
         page
     }
 
-    /// The `GET /v1/shards` body: the live map plus per-shard health.
-    /// `Err` carries the serialization failure for a 500 answer.
+    /// The `GET /v1/shards` body: the live map plus per-shard gate state
+    /// (`unverified`, `active`, `ejected` or `probation`) and the
+    /// failures in its outcome window. `Err` carries the serialization
+    /// failure for a 500 answer.
     pub fn shards_page(&self) -> Result<Vec<u8>, String> {
-        let snapshot = self.health.snapshot();
+        let snapshot = self.gate.snapshot();
         let page = ShardsPage {
             cell_deg: self.map.cell_deg(),
-            expected_digest: self.fleet_digest.lock().unwrap().clone(),
+            expected_digest: self.fleet_digest.lock().expect("fleet digest poisoned").clone(),
             shards: self
                 .map
                 .shards()
@@ -670,7 +629,7 @@ impl RouterCore {
                     id: s.id.clone(),
                     addr: s.addr.to_string(),
                     state: state.as_str(),
-                    consecutive_failures: fails,
+                    window_failures: fails,
                 })
                 .collect(),
         };
@@ -684,7 +643,7 @@ enum ChainError {
     /// The request's deadline budget ran out before (or while) walking
     /// the chain — an honest 504, never a retry.
     Deadline,
-    /// Every candidate was unavailable, breaker-refused, or failed —
+    /// Every candidate was refused by the gate or failed —
     /// the degraded path's cue, else a 502.
     Exhausted,
 }

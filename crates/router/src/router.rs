@@ -79,7 +79,7 @@ impl Router {
         self.addr
     }
 
-    /// The routing core (map, health, metrics) — shared with the
+    /// The routing core (map, gates, metrics) — shared with the
     /// dispatch workers.
     pub fn core(&self) -> &Arc<RouterCore> {
         &self.core
@@ -108,7 +108,7 @@ impl Router {
 /// Sweeps the fleet every `probe_interval`, polling the shutdown flag at
 /// a finer grain so shutdown never waits out a full interval.
 fn probe_loop(core: &RouterCore, flag: &ShutdownFlag) {
-    let interval = core.health().policy().probe_interval;
+    let interval = core.config().gate.probe_interval;
     let tick = interval.min(Duration::from_millis(50)).max(Duration::from_millis(1));
     loop {
         let mut slept = Duration::ZERO;

@@ -8,10 +8,11 @@
 //! * faults on the owning shard (connect refusal, mid-body reset, torn
 //!   responses) never corrupt an answer — every client request completes
 //!   200 on the replica with bytes identical to the monolith;
-//! * a repeatedly failing shard trips its circuit breaker open, is
-//!   probed half-open after the hold, and closes again once the shard
-//!   recovers — each transition visible exactly once per cycle in
-//!   `/metrics`;
+//! * a shard that is up but failing is ejected, the dark fleet answers
+//!   degraded, and the shard returns through probation to full-fidelity
+//!   answers — each transition visible in `/metrics`;
+//! * a dead shard and an up-but-slow shard in one fleet are both steered
+//!   around and both re-admitted;
 //! * a fleet that stalls past the request's deadline budget yields an
 //!   honest 504, not a hang;
 //! * with `--degraded-mode`, a fleet the router cannot reach at all
@@ -20,73 +21,23 @@
 //! * the same seed yields the same fault assignment, connection for
 //!   connection.
 
-use kamel::{Kamel, KamelConfig};
+mod common;
+
+use common::*;
 use kamel_chaos::{ChaosConfig, ChaosProxy, ChaosSchedule, Fault};
-use kamel_geo::{GpsPoint, Trajectory};
-use kamel_router::{BreakerPolicy, HealthPolicy, Router, RouterConfig, ShardInfo, ShardMap};
-use kamel_server::{
-    Client, ImputeEngine, ImputeResponse, RequestOpts, RetryPolicy, Server, ServerConfig,
-    WireService,
-};
+use kamel_router::{RouterConfig, ShardState};
+use kamel_server::{Client, ImputeResponse, RequestOpts, RetryPolicy};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn street_corpus(n: usize) -> Vec<Trajectory> {
-    (0..n)
-        .map(|_| {
-            Trajectory::new(
-                (0..30)
-                    .map(|i| GpsPoint::from_parts(41.15, -8.61 + i as f64 * 0.001, i as f64 * 10.0))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn trained() -> Arc<Kamel> {
-    let kamel = Kamel::new(
-        KamelConfig::builder()
-            .model_threshold_k(50)
-            .pyramid_height(3)
-            .threads(Some(2))
-            .build(),
-    );
-    kamel.train(&street_corpus(40));
-    Arc::new(kamel)
-}
-
-fn sparse_request(i: usize) -> Trajectory {
-    let jitter = i as f64 * 1e-5;
-    Trajectory::new(vec![
-        GpsPoint::from_parts(41.15, -8.610 + jitter, 0.0),
-        GpsPoint::from_parts(41.15, -8.609 + jitter, 10.0),
-        GpsPoint::from_parts(41.15, -8.589 + jitter, 210.0),
-        GpsPoint::from_parts(41.15, -8.588 + jitter, 220.0),
-    ])
-}
-
-fn boot_shard(kamel: &Arc<Kamel>) -> Server {
-    let engine = Arc::new(ImputeEngine::new(Arc::clone(kamel)));
-    let config = ServerConfig {
-        workers: 2,
-        handlers: 16,
-        batch_max: 4,
-        batch_wait: Duration::from_millis(2),
-        queue_cap: 64,
-        cache_entries: 0,
-        deadline: Duration::from_secs(30),
-        degraded_mode: false,
-        ..ServerConfig::default()
-    };
-    Server::bind("127.0.0.1:0", engine, config).expect("bind shard")
-}
-
 /// A router config tuned for drills: no client pooling (every forward is
-/// a fresh connection, so scripted faults land in accept order), one
-/// connect attempt per forward, probes effectively off after boot.
-fn drill_config(breaker: BreakerPolicy) -> RouterConfig {
+/// a fresh connection, so scripted faults land in accept order) and one
+/// connect attempt per forward. Forwards and probes share each proxy's
+/// connection index; a script is a function of that index alone, so
+/// whichever mix eats its faults, the drill converges on its last entry.
+fn drill_config(window: usize, probe_interval: Duration) -> RouterConfig {
     RouterConfig {
         handlers: 8,
         timeout: Duration::from_secs(5),
@@ -97,56 +48,13 @@ fn drill_config(breaker: BreakerPolicy) -> RouterConfig {
             deadline: Duration::from_secs(10),
             jitter_seed: 7,
         },
-        health: HealthPolicy {
-            // Breakers drive these drills; keep the health machine from
-            // ejecting underneath them.
-            eject_after: 1_000,
-            probe_interval: Duration::from_secs(600),
-        },
-        breaker,
+        gate: gate_policy(window, probe_interval),
         max_pool: 0,
         default_deadline: Duration::from_secs(10),
         degraded: false,
         degraded_max_gap_m: 100.0,
         ..RouterConfig::default()
     }
-}
-
-/// A breaker that never trips (for drills where failover is the point):
-/// failures can never reach twice the sample count.
-fn inert_breaker() -> BreakerPolicy {
-    BreakerPolicy {
-        failure_ratio: 2.0,
-        ..BreakerPolicy::default()
-    }
-}
-
-fn fleet_map(addrs: &[SocketAddr], cell_deg: f64) -> ShardMap {
-    let shards = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, addr)| ShardInfo {
-            id: format!("shard-{i}"),
-            addr: *addr,
-        })
-        .collect();
-    ShardMap::new(shards, cell_deg).unwrap()
-}
-
-/// Which shard index owns every drill request's cell. Rendezvous
-/// ownership depends only on the shard ids and the cell, so this can be
-/// computed from a throwaway map before any proxy exists.
-fn owner_index() -> usize {
-    let dummy: Vec<SocketAddr> = vec![
-        "127.0.0.1:1".parse().unwrap(),
-        "127.0.0.1:2".parse().unwrap(),
-    ];
-    let map = fleet_map(&dummy, 1.0);
-    map.owner_order(map.cell_of(sparse_request(0).points[0].pos))[0]
-}
-
-fn direct_bytes(kamel: &Arc<Kamel>, sparse: &Trajectory) -> Vec<u8> {
-    ImputeEngine::new(Arc::clone(kamel)).render(&kamel.impute(sparse))
 }
 
 fn proxy_for(upstream: SocketAddr, script: &str) -> ChaosProxy {
@@ -165,78 +73,61 @@ fn metric(page: &str, series: &str) -> u64 {
         .unwrap_or_else(|| panic!("series {series} missing from:\n{page}"))
 }
 
-fn wait_for<F: FnMut() -> bool>(what: &str, mut cond: F) {
-    let deadline = Instant::now() + Duration::from_secs(15);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 #[test]
 fn owner_faults_never_corrupt_an_answer() {
     let kamel = trained();
-    let owner = owner_index();
+    let owner = owner_chain(2)[0];
     let (shard_a, shard_b) = (boot_shard(&kamel), boot_shard(&kamel));
     let upstreams = [shard_a.local_addr(), shard_b.local_addr()];
     // Connection 0 on each proxy is the boot probe and must relay
     // faithfully; after that the owner's connections cycle through every
     // response-corrupting fault while the replica stays clean.
-    let owner_script = "none,refuse,reset,torn,none,reset,refuse,torn";
+    let owner_script = "none,refuse,reset,torn,none,reset,refuse,torn,none";
     let mut proxies = [
         proxy_for(upstreams[0], if owner == 0 { owner_script } else { "none" }),
         proxy_for(upstreams[1], if owner == 1 { owner_script } else { "none" }),
     ];
     let map = fleet_map(&[proxies[0].addr(), proxies[1].addr()], 1.0);
-    let router = Router::bind("127.0.0.1:0", map, drill_config(inert_breaker()))
-        .expect("bind router");
-    assert_eq!(router.core().available_shards(), 2, "boot probes admitted the fleet");
+    let router = bind_router(map, drill_config(6, Duration::from_millis(50)));
+    let core = Arc::clone(router.core());
+    assert_eq!(core.available_shards(), 2, "boot probes admitted the fleet");
     let addr = router.local_addr();
-    let replica_id = format!("shard-{}", 1 - owner);
-    let mut served_by_replica = 0;
-    for i in 0..8 {
-        let sparse = sparse_request(i);
-        let body = serde_json::to_vec(&sparse).unwrap();
-        let mut c = Client::connect(addr, Duration::from_secs(30)).unwrap();
-        let resp = c.post_json("/v1/impute", &body).unwrap();
-        // A refused, reset, or torn owner is survived by failover; a
-        // corrupted upstream response must never reach the client.
-        assert_eq!(resp.status, 200, "request {i}: {}", resp.text());
-        assert_eq!(
-            resp.body,
-            direct_bytes(&kamel, &sparse),
-            "request {i} differs from the monolith"
-        );
-        if resp.header("x-kamel-shard") == Some(replica_id.as_str()) {
-            served_by_replica += 1;
-        }
-    }
-    assert!(served_by_replica >= 4, "faulted requests failed over ({served_by_replica})");
-    let owner_errors = router
-        .core()
-        .metrics()
-        .shard(owner)
-        .errors
-        .load(Ordering::Relaxed);
-    assert!(owner_errors >= 4, "owner faults were recorded ({owner_errors})");
-    // The fault assignment replayed exactly as scripted.
-    let script: Vec<Fault> = [
-        Fault::None,
-        Fault::Refuse,
-        Fault::ResetMidBody,
-        Fault::Torn,
-        Fault::None,
-        Fault::ResetMidBody,
-        Fault::Refuse,
-        Fault::Torn,
-    ]
-    .into();
-    let log = proxies[owner].log();
-    let faults: Vec<Fault> = log.iter().map(|&(_, f)| f).collect();
-    assert!(
-        faults.starts_with(&script[..script.len().min(faults.len())]),
-        "scripted schedule drifted: {faults:?}"
+    let (owner_id, replica_id) = (format!("shard-{owner}"), format!("shard-{}", 1 - owner));
+    let mut served_by = Vec::new();
+    // Drive until the script has run dry and the owner is back. A refused,
+    // reset, or torn owner is survived by failover (and, after three of
+    // them, by ejection); a corrupted upstream response must never reach
+    // the client.
+    wait_for("the owner to ride out its script", || {
+        let i = served_by.len();
+        served_by.push(routed(addr, &kamel, i));
+        proxies[owner].connections() >= 9 && core.gate().state(owner) == ShardState::Active
+    });
+    assert!(served_by.contains(&replica_id), "faulted requests failed over: {served_by:?}");
+    assert_eq!(served_by.last(), Some(&owner_id), "the recovered owner serves again");
+    let counters = core.metrics().shard(owner);
+    // Forwards and probes split the faults between them; three in a row
+    // eject the owner whoever drew them.
+    assert!(counters.ejections.load(Ordering::Relaxed) >= 1, "owner faults were recorded");
+    assert_eq!(
+        counters.probations.load(Ordering::Relaxed),
+        counters.ejections.load(Ordering::Relaxed),
+        "every ejection was probed back"
     );
+    // The fault assignment replayed exactly as scripted.
+    let script = [
+        Fault::None,
+        Fault::Refuse,
+        Fault::ResetMidBody,
+        Fault::Torn,
+        Fault::None,
+        Fault::ResetMidBody,
+        Fault::Refuse,
+        Fault::Torn,
+        Fault::None,
+    ];
+    let faults: Vec<Fault> = proxies[owner].log().iter().map(|&(_, f)| f).collect();
+    assert!(faults.starts_with(&script), "scripted schedule drifted: {faults:?}");
     router.shutdown();
     for p in &mut proxies {
         p.shutdown();
@@ -246,54 +137,134 @@ fn owner_faults_never_corrupt_an_answer() {
 }
 
 #[test]
-fn breaker_opens_probes_half_open_and_closes_after_recovery() {
+fn a_failing_shard_is_ejected_served_around_degraded_and_returns_through_probation() {
     let kamel = trained();
     let shard = boot_shard(&kamel);
-    // Connection 0: boot probe. Then a burst of refusals (the outage),
-    // then recovery forever.
-    let mut proxy = proxy_for(shard.local_addr(), "none,refuse*6,none");
+    // Connection 0: boot probe. Then an outage of mid-body resets — the
+    // shard is up and accepting, every answer dies — then recovery
+    // forever.
+    let mut proxy = proxy_for(shard.local_addr(), "none,reset*8,none");
     let map = fleet_map(&[proxy.addr()], 1.0);
-    let breaker = BreakerPolicy {
-        window: 4,
-        min_samples: 2,
-        failure_ratio: 0.5,
-        latency_threshold: Duration::from_secs(10),
-        open_for: Duration::from_millis(120),
-        half_open_probes: 1,
-        close_after: 1,
+    let config = RouterConfig {
+        degraded: true,
+        ..drill_config(4, Duration::from_millis(100))
     };
-    let router = Router::bind("127.0.0.1:0", map, drill_config(breaker)).expect("bind router");
-    assert_eq!(router.core().available_shards(), 1);
-    let addr = router.local_addr();
+    let router = bind_router(map, config);
     let core = Arc::clone(router.core());
-    let body = serde_json::to_vec(&sparse_request(0)).unwrap();
-    let mut statuses = Vec::new();
-    // Drive requests until the full cycle is visible: the outage trips
-    // the breaker, the hold expires into a half-open probe, and the
-    // recovered shard closes it again.
-    wait_for("breaker to trip, probe, and close", || {
-        let mut c = Client::connect(addr, Duration::from_secs(10)).unwrap();
-        statuses.push(c.post_json("/v1/impute", &body).unwrap().status);
-        let page = core.metrics_page();
-        metric(&page, "kamel_router_breaker_closes_total{shard=\"shard-0\"}") >= 1
+    assert_eq!(core.available_shards(), 1);
+    let addr = router.local_addr();
+    let counters = core.metrics().shard(0);
+    let (mut asked, mut degraded) = (0, 0);
+    // Drive requests until the full cycle is visible: two failed forwards
+    // eject the shard, probes eat the rest of the outage, a clean probe
+    // puts it on probation and two trial forwards re-activate it. With
+    // one shard the fleet is dark meanwhile: every answer is still a 200,
+    // marked degraded unless it is the monolith's bytes.
+    wait_for("ejection, probation and re-activation", || {
+        let resp = post(addr, asked);
+        if resp.header("x-kamel-degraded").is_some() {
+            assert_eq!(resp.status, 200, "{}", resp.text());
+            let answer: ImputeResponse = serde_json::from_slice(&resp.body).unwrap();
+            assert!(answer.degraded && !answer.trajectory.points.is_empty());
+            degraded += 1;
+        } else {
+            full_fidelity(&resp, &kamel, asked);
+        }
+        asked += 1;
+        counters.admissions.load(Ordering::Relaxed) >= 2
     });
+    assert!(degraded >= 1, "the dark fleet answered degraded");
+    assert_eq!(core.metrics().degraded.load(Ordering::Relaxed), degraded);
     let page = core.metrics_page();
-    assert!(metric(&page, "kamel_router_breaker_opens_total{shard=\"shard-0\"}") >= 1);
-    assert!(metric(&page, "kamel_router_breaker_half_opens_total{shard=\"shard-0\"}") >= 1);
+    assert!(metric(&page, "kamel_router_ejections_total{shard=\"shard-0\"}") >= 1);
+    assert!(metric(&page, "kamel_router_probations_total{shard=\"shard-0\"}") >= 1);
     assert_eq!(
-        metric(&page, "kamel_router_breaker_state{shard=\"shard-0\"}"),
+        metric(&page, "kamel_router_shard_state{shard=\"shard-0\"}"),
         0,
-        "breaker ends Closed"
+        "the shard ends Active"
     );
-    // The drill saw the outage from the outside: some requests were
-    // refused service while the breaker held the shard open.
-    assert!(statuses.contains(&503), "open breaker shed load: {statuses:?}");
-    // And the recovered world serves normally.
-    let mut c = Client::connect(addr, Duration::from_secs(10)).unwrap();
-    assert_eq!(c.post_json("/v1/impute", &body).unwrap().status, 200);
+    // And the recovered world serves at full fidelity.
+    routed(addr, &kamel, asked);
     router.shutdown();
     proxy.shutdown();
     shard.shutdown();
+}
+
+#[test]
+fn a_dead_shard_and_a_slow_shard_are_both_steered_around_and_both_readmitted() {
+    let kamel = trained();
+    let mut shards = [0, 1, 2].map(|_| Some(boot_shard(&kamel)));
+    let upstreams = [0, 1, 2].map(|i| shards[i].as_ref().unwrap().local_addr());
+    // The request's chain is dead → slow → healthy.
+    let chain = owner_chain(3);
+    let (dead, slow, healthy) = (chain[0], chain[1], chain[2]);
+    let id = |shard: usize| format!("shard-{shard}");
+    // The slow shard answers correctly, one byte at a time: its probes
+    // (a few hundred bytes) stay under the probe timeout, an imputation
+    // takes longer than the gate's 2 s latency threshold. Connection 0 is
+    // the boot probe; whichever two of the first forward and the probes
+    // beside it draw the slow connections, the rest relay cleanly.
+    let answer_len = direct_bytes(&kamel, &sparse_request(0)).len() as u64;
+    let schedule = ChaosSchedule::parse_script("none,slow-loris*2,none").unwrap();
+    let mut config = ChaosConfig::new(schedule);
+    config.trickle_ms = 2_600 / answer_len + 1;
+    config.trickle_cap = 1 << 20;
+    let mut proxy = ChaosProxy::bind(upstreams[slow], config).expect("bind chaos proxy");
+    let mut addrs = upstreams;
+    addrs[slow] = proxy.addr();
+    let router = bind_router(fleet_map(&addrs, 1.0), drill_config(2, Duration::from_millis(300)));
+    let core = Arc::clone(router.core());
+    let addr = router.local_addr();
+    assert_eq!(core.available_shards(), 3);
+    shards[dead].take().unwrap().shutdown();
+    // The first request pays for both discoveries: a refused connection,
+    // then a correct answer that took too long. Window 2 at ratio 0.5:
+    // one failure ejects.
+    let started = Instant::now();
+    assert_eq!(routed(addr, &kamel, 0), id(slow));
+    assert!(started.elapsed() > Duration::from_secs(2), "slow, yet successful");
+    let ejections = |shard: usize| core.metrics().shard(shard).ejections.load(Ordering::Relaxed);
+    assert_eq!((ejections(dead), ejections(slow)), (1, 1));
+    // Everyone after it is steered around both at the cost of two
+    // booleans. (A probe may already have the slow shard on probation;
+    // then it serves, at full speed, as a trial.)
+    for i in 1..4 {
+        let started = Instant::now();
+        let served = routed(addr, &kamel, i);
+        assert!(served == id(healthy) || served == id(slow), "{served}");
+        assert!(started.elapsed() < Duration::from_secs(2));
+    }
+    let forwarded = |shard: usize| core.metrics().shard(shard).forwarded.load(Ordering::Relaxed);
+    assert_eq!(forwarded(dead), 1, "the dead shard was tried once");
+    // The slow shard's script runs dry: probation, two trials, active —
+    // while the dead one is still steered around.
+    let mut asked = 4;
+    wait_for("the slow shard to return", || {
+        routed(addr, &kamel, asked);
+        asked += 1;
+        core.gate().state(slow) == ShardState::Active
+    });
+    assert_eq!(core.gate().state(dead), ShardState::Ejected);
+    // Revive the dead shard on its old address: same path back.
+    shards[dead] = Some(boot_shard_at(&kamel, &upstreams[dead].to_string()));
+    wait_for("the dead shard to return", || {
+        routed(addr, &kamel, asked);
+        asked += 1;
+        core.gate().state(dead) == ShardState::Active
+    });
+    assert_eq!(routed(addr, &kamel, asked), id(dead));
+    for shard in [dead, slow] {
+        let counters = core.metrics().shard(shard);
+        assert_eq!(ejections(shard), 1, "shard-{shard}");
+        assert_eq!(counters.probations.load(Ordering::Relaxed), 1, "shard-{shard}");
+        assert_eq!(counters.admissions.load(Ordering::Relaxed), 2, "shard-{shard}");
+    }
+    assert_eq!(ejections(healthy), 0);
+    router.shutdown();
+    proxy.shutdown();
+    for shard in shards.into_iter().flatten() {
+        shard.shutdown();
+    }
 }
 
 #[test]
@@ -305,8 +276,9 @@ fn stalled_fleet_yields_an_honest_504_within_the_budget() {
     let mut proxy_a = proxy_for(shard_a.local_addr(), "none,stall");
     let mut proxy_b = proxy_for(shard_b.local_addr(), "none,stall");
     let map = fleet_map(&[proxy_a.addr(), proxy_b.addr()], 1.0);
-    let router = Router::bind("127.0.0.1:0", map, drill_config(inert_breaker()))
-        .expect("bind router");
+    // A probe into a stalled proxy holds the sweep for its 2 s timeout, so
+    // the sweeps are spaced to stay clear of the request (and of shutdown).
+    let router = bind_router(map, drill_config(6, Duration::from_secs(5)));
     assert_eq!(router.core().available_shards(), 2);
     let body = serde_json::to_vec(&sparse_request(0)).unwrap();
     let mut c = Client::connect(router.local_addr(), Duration::from_secs(30)).unwrap();
@@ -351,9 +323,9 @@ fn dark_fleet_answers_degraded_when_enabled() {
     let map = fleet_map(&[proxy.addr()], 1.0);
     let config = RouterConfig {
         degraded: true,
-        ..drill_config(inert_breaker())
+        ..drill_config(6, Duration::from_millis(100))
     };
-    let router = Router::bind("127.0.0.1:0", map, config).expect("bind router");
+    let router = bind_router(map, config);
     assert_eq!(router.core().available_shards(), 0, "nothing admitted");
     let sparse = sparse_request(0);
     let body = serde_json::to_vec(&sparse).unwrap();

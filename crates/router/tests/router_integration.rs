@@ -9,78 +9,24 @@
 //! * killing a shard mid-load completes every request via deterministic
 //!   failover with exactly one recorded ejection;
 //! * a shard whose config digest disagrees with the fleet is refused
-//!   admission and never serves;
+//!   admission and never serves — and one that starts disagreeing while
+//!   serving is ejected;
+//! * a dead shard is ejected by probes alone and returns through
+//!   probation;
 //! * shard-spanning trajectories scatter-gather into an order-preserving
 //!   merge.
 
+mod common;
+
+use common::*;
 use kamel::{Kamel, KamelConfig};
-use kamel_geo::{GpsPoint, Trajectory};
-use kamel_router::{
-    BreakerPolicy, HealthPolicy, Router, RouterConfig, ShardInfo, ShardMap, ShardState,
-};
-use kamel_server::{
-    Client, ImputeEngine, ImputeResponse, RetryPolicy, Server, ServerConfig, WireService,
-};
-use std::net::SocketAddr;
+use kamel_router::{RouterConfig, ShardInfo, ShardMap, ShardState};
+use kamel_server::{Client, ImputeEngine, ImputeResponse, RetryPolicy, Server};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn street_corpus(n: usize) -> Vec<Trajectory> {
-    (0..n)
-        .map(|_| {
-            Trajectory::new(
-                (0..30)
-                    .map(|i| GpsPoint::from_parts(41.15, -8.61 + i as f64 * 0.001, i as f64 * 10.0))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn trained() -> Arc<Kamel> {
-    let kamel = Kamel::new(
-        KamelConfig::builder()
-            .model_threshold_k(50)
-            .pyramid_height(3)
-            .threads(Some(2))
-            .build(),
-    );
-    kamel.train(&street_corpus(40));
-    Arc::new(kamel)
-}
-
-fn sparse_request(i: usize) -> Trajectory {
-    let jitter = i as f64 * 1e-5;
-    Trajectory::new(vec![
-        GpsPoint::from_parts(41.15, -8.610 + jitter, 0.0),
-        GpsPoint::from_parts(41.15, -8.609 + jitter, 10.0),
-        GpsPoint::from_parts(41.15, -8.589 + jitter, 210.0),
-        GpsPoint::from_parts(41.15, -8.588 + jitter, 220.0),
-    ])
-}
-
-fn shard_config() -> ServerConfig {
-    ServerConfig {
-        workers: 2,
-        handlers: 16,
-        batch_max: 4,
-        batch_wait: Duration::from_millis(2),
-        queue_cap: 64,
-        cache_entries: 0,
-        deadline: Duration::from_secs(30),
-        degraded_mode: false,
-        ..ServerConfig::default()
-    }
-}
-
-/// Boots one shard over (a clone of) the shared model.
-fn boot_shard(kamel: &Arc<Kamel>) -> Server {
-    let engine = Arc::new(ImputeEngine::new(Arc::clone(kamel)));
-    Server::bind("127.0.0.1:0", engine, shard_config()).expect("bind shard")
-}
-
-fn router_config(eject_after: u32, probe_interval: Duration) -> RouterConfig {
+fn router_config(window: usize, probe_interval: Duration) -> RouterConfig {
     RouterConfig {
         handlers: 8,
         timeout: Duration::from_secs(10),
@@ -91,41 +37,12 @@ fn router_config(eject_after: u32, probe_interval: Duration) -> RouterConfig {
             deadline: Duration::from_secs(10),
             jitter_seed: 7,
         },
-        health: HealthPolicy {
-            eject_after,
-            probe_interval,
-        },
-        breaker: BreakerPolicy::default(),
+        gate: gate_policy(window, probe_interval),
         max_pool: 8,
         default_deadline: Duration::from_secs(10),
         degraded: false,
         degraded_max_gap_m: 100.0,
         ..RouterConfig::default()
-    }
-}
-
-fn fleet_map(addrs: &[SocketAddr], cell_deg: f64) -> ShardMap {
-    let shards = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, addr)| ShardInfo {
-            id: format!("shard-{i}"),
-            addr: *addr,
-        })
-        .collect();
-    ShardMap::new(shards, cell_deg).unwrap()
-}
-
-/// The monolith reference: what a direct library call renders.
-fn direct_bytes(kamel: &Arc<Kamel>, sparse: &Trajectory) -> Vec<u8> {
-    ImputeEngine::new(Arc::clone(kamel)).render(&kamel.impute(sparse))
-}
-
-fn wait_for<F: FnMut() -> bool>(what: &str, mut cond: F) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -137,29 +54,14 @@ fn concurrent_clients_through_router_match_the_monolith() {
     // cell_deg 1.0: the whole city is one routing cell, so every request
     // is single-owner and forwarded verbatim.
     let map = fleet_map(&[shard_a.local_addr(), shard_b.local_addr()], 1.0);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        map,
-        router_config(3, Duration::from_secs(10)),
-    )
-    .expect("bind router");
+    let router = bind_router(map, router_config(6, Duration::from_secs(10)));
     assert_eq!(router.core().available_shards(), 2, "boot probe admitted the fleet");
     let addr = router.local_addr();
     let threads: Vec<_> = (0..N)
         .map(|i| {
             let kamel = Arc::clone(&kamel);
             std::thread::spawn(move || {
-                let sparse = sparse_request(i);
-                let body = serde_json::to_vec(&sparse).unwrap();
-                let mut c = Client::connect(addr, Duration::from_secs(30)).unwrap();
-                let resp = c.post_json("/v1/impute", &body).unwrap();
-                assert_eq!(resp.status, 200, "{}", resp.text());
-                assert_eq!(
-                    resp.body,
-                    direct_bytes(&kamel, &sparse),
-                    "routed response {i} differs from the monolith"
-                );
-                let shard = resp.header("x-kamel-shard").expect("shard header").to_string();
+                let shard = routed(addr, &kamel, i);
                 assert!(shard.starts_with("shard-"), "{shard}");
             })
         })
@@ -180,40 +82,26 @@ fn failover_completes_every_request_with_one_deterministic_ejection() {
     const N: usize = 6;
     let kamel = trained();
     let (shard_a, shard_b) = (boot_shard(&kamel), boot_shard(&kamel));
-    let addrs = [shard_a.local_addr(), shard_b.local_addr()];
-    let map = fleet_map(&addrs, 1.0);
-    // Every gap lands in one cell; find who owns it so we can kill
-    // exactly the primary. Probes are effectively off (long interval), so
-    // the ejection count is driven by the request path alone.
-    let cell = map.cell_of(sparse_request(0).points[0].pos);
-    let owner = map.owner_order(cell)[0];
+    let map = fleet_map(&[shard_a.local_addr(), shard_b.local_addr()], 1.0);
+    // Every gap lands in one cell, so exactly the primary can be killed.
+    // Window 1: the first failure ejects. Probes stay on: whether a
+    // forward or a probe meets the dead shard first, it is ejected once.
+    let owner = owner_chain(2)[0];
     let survivor = 1 - owner;
-    let router = Router::bind(
-        "127.0.0.1:0",
-        map,
-        router_config(1, Duration::from_secs(600)),
-    )
-    .expect("bind router");
+    let router = bind_router(map, router_config(1, Duration::from_millis(100)));
     assert_eq!(router.core().available_shards(), 2);
     let addr = router.local_addr();
     // Kill the primary, then fire a concurrent burst: every request must
     // complete on the replica with the same bytes the primary would have
-    // produced (same model), and the health machine must record exactly
-    // one ejection.
+    // produced (same model), and the gate must record exactly one
+    // ejection — the burst's other failures were admitted under the
+    // generation that ejection ended.
     let mut shards = [Some(shard_a), Some(shard_b)];
     shards[owner].take().unwrap().shutdown();
     let threads: Vec<_> = (0..N)
         .map(|i| {
             let kamel = Arc::clone(&kamel);
-            std::thread::spawn(move || {
-                let sparse = sparse_request(i);
-                let body = serde_json::to_vec(&sparse).unwrap();
-                let mut c = Client::connect(addr, Duration::from_secs(30)).unwrap();
-                let resp = c.post_json("/v1/impute", &body).unwrap();
-                assert_eq!(resp.status, 200, "{}", resp.text());
-                assert_eq!(resp.body, direct_bytes(&kamel, &sparse), "request {i}");
-                resp.header("x-kamel-shard").unwrap().to_string()
-            })
+            std::thread::spawn(move || routed(addr, &kamel, i))
         })
         .collect();
     let survivor_id = format!("shard-{survivor}");
@@ -226,13 +114,11 @@ fn failover_completes_every_request_with_one_deterministic_ejection() {
         1,
         "the dead primary was ejected exactly once"
     );
-    assert_eq!(core.health().state(owner), ShardState::Ejected);
-    assert_eq!(core.health().state(survivor), ShardState::Active);
+    assert_eq!(core.gate().state(owner), ShardState::Ejected);
+    assert_eq!(core.gate().state(survivor), ShardState::Active);
     // Follow-up requests skip the ejected shard without touching it.
     let touched_before = core.metrics().shard(owner).forwarded.load(Ordering::Relaxed);
-    let mut c = Client::connect(addr, Duration::from_secs(30)).unwrap();
-    let body = serde_json::to_vec(&sparse_request(40)).unwrap();
-    assert_eq!(c.post_json("/v1/impute", &body).unwrap().status, 200);
+    assert_eq!(routed(addr, &kamel, 40), survivor_id);
     assert_eq!(
         core.metrics().shard(owner).forwarded.load(Ordering::Relaxed),
         touched_before,
@@ -269,12 +155,7 @@ fn spanning_trajectories_scatter_and_merge_in_order() {
             (owners.iter().any(|&o| o != owners[0])).then_some(map)
         })
         .expect("some id salt splits ownership across the street");
-    let router = Router::bind(
-        "127.0.0.1:0",
-        map,
-        router_config(3, Duration::from_secs(10)),
-    )
-    .expect("bind router");
+    let router = bind_router(map, router_config(6, Duration::from_secs(10)));
     assert_eq!(router.core().available_shards(), 2);
     let mut c = Client::connect(router.local_addr(), Duration::from_secs(30)).unwrap();
     let body = serde_json::to_vec(&sparse).unwrap();
@@ -315,30 +196,21 @@ fn digest_mismatch_refuses_admission() {
     let other = Arc::new(Kamel::new(KamelConfig::default()));
     let shard_b = boot_shard(&other);
     let map = fleet_map(&[shard_a.local_addr(), shard_b.local_addr()], 1.0);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        map,
-        router_config(3, Duration::from_millis(100)),
-    )
-    .expect("bind router");
+    let router = bind_router(map, router_config(6, Duration::from_millis(100)));
     let core = router.core();
     // The boot sweep probes in map order: shard-0 pins the fleet digest,
     // shard-1 is refused — and stays refused over later probe sweeps.
     assert_eq!(core.available_shards(), 1);
-    assert_eq!(core.health().state(1), ShardState::Unverified);
+    assert_eq!(core.gate().state(1), ShardState::Unverified);
     wait_for("a second refused probe sweep", || {
         core.metrics().shard(1).admission_refusals.load(Ordering::Relaxed) >= 2
     });
-    assert_eq!(core.health().state(1), ShardState::Unverified);
+    assert_eq!(core.gate().state(1), ShardState::Unverified);
     // Traffic flows, all of it to the admitted shard.
-    let mut c = Client::connect(router.local_addr(), Duration::from_secs(30)).unwrap();
-    let body = serde_json::to_vec(&sparse_request(0)).unwrap();
-    let resp = c.post_json("/v1/impute", &body).unwrap();
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.header("x-kamel-shard"), Some("shard-0"));
-    assert_eq!(resp.body, direct_bytes(&kamel, &sparse_request(0)));
+    assert_eq!(routed(router.local_addr(), &kamel, 0), "shard-0");
     assert_eq!(core.metrics().shard(1).forwarded.load(Ordering::Relaxed), 0);
     // /v1/shards reports the live picture.
+    let mut c = Client::connect(router.local_addr(), Duration::from_secs(30)).unwrap();
     let shards_page = c.get("/v1/shards").unwrap();
     assert_eq!(shards_page.status, 200);
     let text = shards_page.text();
@@ -359,12 +231,7 @@ fn shards_differing_only_in_threads_are_one_fleet() {
     };
     let (shard_a, shard_b) = (shard(2), shard(3));
     let map = fleet_map(&[shard_a.local_addr(), shard_b.local_addr()], 1.0);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        map,
-        router_config(3, Duration::from_millis(100)),
-    )
-    .expect("bind router");
+    let router = bind_router(map, router_config(6, Duration::from_millis(100)));
     let core = router.core();
     assert_eq!(core.available_shards(), 2);
     assert_eq!(core.metrics().shard(1).admission_refusals.load(Ordering::Relaxed), 0);
@@ -376,41 +243,109 @@ fn shards_differing_only_in_threads_are_one_fleet() {
 #[test]
 fn probe_ejects_a_dead_shard_and_readmits_it_after_recovery() {
     let kamel = trained();
-    let shard_a = boot_shard(&kamel);
-    let shard_b = boot_shard(&kamel);
-    let b_addr = shard_b.local_addr();
-    let map = fleet_map(&[shard_a.local_addr(), b_addr], 1.0);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        map,
-        router_config(2, Duration::from_millis(50)),
-    )
-    .expect("bind router");
+    let mut shards = [Some(boot_shard(&kamel)), Some(boot_shard(&kamel))];
+    let addrs = [0, 1].map(|i| shards[i].as_ref().unwrap().local_addr());
+    let owner = owner_chain(2)[0];
+    let owner_id = format!("shard-{owner}");
+    let router = bind_router(fleet_map(&addrs, 1.0), router_config(2, Duration::from_millis(50)));
     let core = Arc::clone(router.core());
+    let addr = router.local_addr();
     assert_eq!(core.available_shards(), 2);
-    // Take shard B down: the probe sweep alone (no request traffic) must
-    // eject it after `eject_after` consecutive failures.
-    shard_b.shutdown();
+    // Take the primary down: the probe sweep alone (no request traffic)
+    // must eject it — a failed probe is a failure in the window.
+    shards[owner].take().unwrap().shutdown();
     wait_for("probe ejection of the dead shard", || {
-        core.health().state(1) == ShardState::Ejected
+        core.gate().state(owner) == ShardState::Ejected
     });
-    assert_eq!(core.metrics().shard(1).ejections.load(Ordering::Relaxed), 1);
+    let counters = core.metrics().shard(owner);
+    assert_eq!(counters.ejections.load(Ordering::Relaxed), 1);
+    assert_ne!(routed(addr, &kamel, 0), owner_id, "the replica serves meanwhile");
     // Bring it back on the same address with the same model: the probe
-    // re-admits it (digest still matches the fleet).
-    let revived = Server::bind(
-        &b_addr.to_string(),
-        Arc::new(ImputeEngine::new(Arc::clone(&kamel))),
+    // puts it on probation (digest still matches the fleet), and two
+    // trial forwards — real requests, answered with the monolith's bytes —
+    // re-activate it.
+    shards[owner] = Some(boot_shard_at(&kamel, &addrs[owner].to_string()));
+    wait_for("probation of the revived shard", || {
+        core.gate().state(owner) == ShardState::Probation
+    });
+    assert_eq!(routed(addr, &kamel, 1), owner_id, "first trial");
+    assert_eq!(core.gate().state(owner), ShardState::Probation, "one success is not enough");
+    assert_eq!(routed(addr, &kamel, 2), owner_id, "second trial");
+    assert_eq!(core.gate().state(owner), ShardState::Active);
+    assert_eq!(counters.probations.load(Ordering::Relaxed), 1);
+    assert_eq!(counters.ejections.load(Ordering::Relaxed), 1);
+    // Boot admission + re-activation.
+    assert_eq!(counters.admissions.load(Ordering::Relaxed), 2);
+    router.shutdown();
+    for shard in shards.into_iter().flatten() {
+        shard.shutdown();
+    }
+}
+
+/// Admission is not a one-time check: a serving shard that hot-reloads
+/// onto a checkpoint trained with another cell size would answer its
+/// territory from an incompatible tokenization.
+#[test]
+fn an_active_shard_that_reloads_onto_a_foreign_digest_is_ejected() {
+    let dir = std::env::temp_dir().join(format!("kamel_router_redigest_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.ckpt");
+    trained().save_to_file(&path).unwrap();
+    let kamel = Arc::new(Kamel::load_from_file(&path).unwrap());
+    let owner = owner_chain(2)[0];
+    let (owner_id, replica_id) = (format!("shard-{owner}"), format!("shard-{}", 1 - owner));
+    let reloadable = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(ImputeEngine::with_model_path(Arc::clone(&kamel), path.clone())),
         shard_config(),
     )
-    .expect("rebind the revived shard");
-    wait_for("probe re-admission of the revived shard", || {
-        core.health().state(1) == ShardState::Active
+    .expect("bind the reloadable shard");
+    let replica = boot_shard(&kamel);
+    let mut addrs = [replica.local_addr(); 2];
+    addrs[owner] = reloadable.local_addr();
+    let router = bind_router(fleet_map(&addrs, 1.0), router_config(6, Duration::from_millis(100)));
+    let core = Arc::clone(router.core());
+    let addr = router.local_addr();
+    assert_eq!(routed(addr, &kamel, 0), owner_id);
+    let reload = |model: &Kamel| {
+        model.save_to_file(&path).unwrap();
+        let mut admin = Client::connect(addrs[owner], Duration::from_secs(30)).unwrap();
+        let resp = admin.post_json("/admin/reload", b"").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+    };
+    // Same model, another grid: well-formed answers from the wrong
+    // tokenization. The next probe sweep must take the shard out.
+    let foreign = KamelConfig {
+        cell_edge_m: 50.0,
+        ..model_config()
+    };
+    reload(&Kamel::new(foreign));
+    wait_for("ejection of the reloaded shard", || {
+        core.gate().state(owner) == ShardState::Ejected
     });
-    // Boot admission + re-admission.
-    assert_eq!(core.metrics().shard(1).admissions.load(Ordering::Relaxed), 2);
+    let counters = core.metrics().shard(owner);
+    assert_eq!(counters.ejections.load(Ordering::Relaxed), 1);
+    assert!(counters.admission_refusals.load(Ordering::Relaxed) >= 1);
+    for i in 1..4 {
+        assert_eq!(routed(addr, &kamel, i), replica_id, "the replica answers its territory");
+    }
+    let mut c = Client::connect(addr, Duration::from_secs(30)).unwrap();
+    let page = c.get("/v1/shards").unwrap().text();
+    assert!(page.contains("\"state\":\"ejected\""), "{page}");
+    // The original checkpoint back: digest matches again, and the shard
+    // returns the way every ejected shard does.
+    reload(&kamel);
+    wait_for("probation of the restored shard", || {
+        core.gate().state(owner) == ShardState::Probation
+    });
+    assert_eq!(routed(addr, &kamel, 4), owner_id);
+    assert_eq!(routed(addr, &kamel, 5), owner_id);
+    assert_eq!(core.gate().state(owner), ShardState::Active);
+    assert_eq!(counters.probations.load(Ordering::Relaxed), 1);
     router.shutdown();
-    shard_a.shutdown();
-    revived.shutdown();
+    reloadable.shutdown();
+    replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -418,12 +353,7 @@ fn router_endpoints_and_errors() {
     let kamel = trained();
     let shard = boot_shard(&kamel);
     let map = fleet_map(&[shard.local_addr()], 1.0);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        map,
-        router_config(3, Duration::from_secs(10)),
-    )
-    .expect("bind router");
+    let router = bind_router(map, router_config(6, Duration::from_secs(10)));
     let mut c = Client::connect(router.local_addr(), Duration::from_secs(30)).unwrap();
     assert_eq!(c.get("/healthz").unwrap().text(), "ok\n");
     let metrics = c.get("/metrics").unwrap().text();
