@@ -143,21 +143,26 @@ impl<'a> GapFiller<'a> {
             .collect()
     }
 
-    /// Interpolated timestamp of `tokens[idx]`, linear in cumulative
-    /// centroid distance between the segment's real endpoints.
-    fn token_time(&self, tokens: &[CellId], idx: usize, t_s: f64, t_d: f64) -> f64 {
-        if tokens.len() < 2 {
-            return t_s;
+    /// Interpolated timestamps of `tokens[idx]` and `tokens[idx + 1]`, linear
+    /// in cumulative centroid distance between the segment's real endpoints.
+    fn gap_times(&self, tokens: &[CellId], idx: usize, t_s: f64, t_d: f64) -> (f64, f64) {
+        let (mut cum, mut before, mut after) = (0.0f64, 0.0, 0.0);
+        for (i, w) in tokens.windows(2).enumerate() {
+            if i == idx {
+                before = cum;
+            }
+            cum += self.tokenizer.centroid_distance_m(w[0], w[1]);
+            if i == idx {
+                after = cum;
+            }
         }
-        let mut cum = vec![0.0f64; tokens.len()];
-        for i in 1..tokens.len() {
-            cum[i] = cum[i - 1] + self.tokenizer.centroid_distance_m(tokens[i - 1], tokens[i]);
+        if cum <= 0.0 {
+            return (t_s, t_s);
         }
-        let total = cum[tokens.len() - 1];
-        if total <= 0.0 {
-            return t_s;
-        }
-        t_s + (t_d - t_s) * cum[idx] / total
+        (
+            t_s + (t_d - t_s) * before / cum,
+            t_s + (t_d - t_s) * after / cum,
+        )
     }
 
     /// Builds the masked model input for the gap at `gap_idx`:
@@ -235,13 +240,14 @@ impl<'a> GapFiller<'a> {
                 }
             }
         }
+        let (gap_t_s, gap_t_d) = self.gap_times(tokens, gap_idx, t_s, t_d);
         let ctx = GapContext {
             s: gap_s,
             d: gap_d,
             s_xy: self.tokenizer.centroid(gap_s),
             d_xy: self.tokenizer.centroid(gap_d),
-            t_s: self.token_time(tokens, gap_idx, t_s, t_d),
-            t_d: self.token_time(tokens, gap_idx + 1, t_s, t_d),
+            t_s: gap_t_s,
+            t_d: gap_t_d,
             prev_xy: if gap_idx > 0 {
                 Some(self.tokenizer.centroid(tokens[gap_idx - 1]))
             } else {
@@ -352,9 +358,10 @@ impl<'a> GapFiller<'a> {
             prob: 1.0,
             imputed: 0,
         };
-        // (segment, gap index) pairs awaiting expansion — the paper's
-        // AllGaps list.
-        let mut all_gaps: Vec<(BeamSeg, usize)> = vec![(init, 0)];
+        // The partial segments of this round, and the (frontier index, gap
+        // index) pairs awaiting expansion — the paper's AllGaps list.
+        let mut frontier: Vec<BeamSeg> = vec![init];
+        let mut all_gaps: Vec<(usize, usize)> = vec![(0, 0)];
         let mut answers: Vec<BeamSeg> = Vec::new();
         // Completed-answer bound (the Figure 7 "lower bound"): partial
         // segments whose normalized score falls below the best complete
@@ -379,13 +386,16 @@ impl<'a> GapFiller<'a> {
             }
             let reqs: Vec<(Vec<u64>, usize)> = all_gaps[..take]
                 .iter()
-                .map(|(seg, gap_idx)| self.build_model_input(&seg.tokens, *gap_idx, prev, next))
+                .map(|&(seg, gap_idx)| {
+                    self.build_model_input(&frontier[seg].tokens, gap_idx, prev, next)
+                })
                 .collect();
             let batched = self.model.predict_masked_batch(&reqs, self.config.top_k);
             calls += take;
-            for ((seg, gap_idx), raw) in all_gaps[..take].iter().zip(batched) {
+            for (&(seg, gap_idx), raw) in all_gaps[..take].iter().zip(batched) {
+                let seg = &frontier[seg];
                 let candidates =
-                    self.postprocess_candidates(raw, &seg.tokens, *gap_idx, (t_s, t_d), prev, next);
+                    self.postprocess_candidates(raw, &seg.tokens, gap_idx, (t_s, t_d), prev, next);
                 for c in candidates.into_iter().take(b) {
                     let mut tokens = seg.tokens.clone();
                     tokens.insert(gap_idx + 1, CellId(c.key));
@@ -411,6 +421,7 @@ impl<'a> GapFiller<'a> {
             new_segments.retain(|seg2| seg2.normalized(alpha) >= prob_limit || answers.is_empty());
 
             all_gaps.clear();
+            frontier.clear();
             for seg in new_segments {
                 let gaps = self.all_gaps(&seg.tokens);
                 if gaps.is_empty() {
@@ -418,9 +429,8 @@ impl<'a> GapFiller<'a> {
                     prob_limit = prob_limit.max(score);
                     answers.push(seg);
                 } else {
-                    for g in gaps {
-                        all_gaps.push((seg.clone(), g));
-                    }
+                    all_gaps.extend(gaps.into_iter().map(|g| (frontier.len(), g)));
+                    frontier.push(seg);
                 }
             }
             if budget_hit {

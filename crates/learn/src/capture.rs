@@ -498,7 +498,7 @@ mod tests {
 
     fn record(i: u64) -> CaptureRecord {
         CaptureRecord {
-            kind: if i % 2 == 0 {
+            kind: if i.is_multiple_of(2) {
                 RecordKind::Impute
             } else {
                 RecordKind::Feedback

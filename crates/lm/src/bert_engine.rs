@@ -539,9 +539,7 @@ mod tests {
     fn topk_ties_break_by_ascending_id() {
         // Ids 5..9 all share the top probability; top-3 must be 5, 6, 7.
         let mut probs = vec![0.0f32; 10];
-        for id in 5..10 {
-            probs[id] = 0.2;
-        }
+        probs[5..10].fill(0.2);
         let got = rank_regulars(&probs, 3);
         let ids: Vec<u32> = got.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![5, 6, 7]);

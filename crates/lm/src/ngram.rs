@@ -61,38 +61,222 @@ fn pair_key(a: u32, b: u32) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-/// Count table: context id → (candidate id → count).
-type CondCounts = HashMap<u32, HashMap<u32, u32>>;
+/// What [`NgramMlm::train`] counts into: context → (candidate id → count).
+/// Nothing outlives `train` in this shape; the model holds [`Rows`].
+type Counting<K> = HashMap<K, HashMap<u32, u32>>;
+
+/// One context's frozen counts.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    /// `(candidate id, count)`, ascending by id, every count positive.
+    entries: &'a [(u32, u32)],
+    /// Sum of the counts: the denominator of every conditional of this row.
+    total: u64,
+}
+
+impl Row<'_> {
+    /// What an unseen context reads as.
+    const EMPTY: Row<'static> = Row {
+        entries: &[],
+        total: 0,
+    };
+}
+
+/// The rows of one count table in one arena.
+#[derive(Debug, Clone)]
+struct Rows {
+    /// Row `r` is `entries[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+    totals: Vec<u64>,
+    entries: Vec<(u32, u32)>,
+}
+
+impl Rows {
+    fn new() -> Self {
+        Self {
+            starts: vec![0],
+            totals: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// Row `r`; a row the table does not reach is empty.
+    fn row(&self, r: usize) -> Row<'_> {
+        match self.totals.get(r) {
+            Some(&total) => Row {
+                entries: &self.entries[self.starts[r]..self.starts[r + 1]],
+                total,
+            },
+            None => Row::EMPTY,
+        }
+    }
+
+    /// Appends the counts of at least `min_count` to the row being built
+    /// and returns how many it holds now.
+    fn stage(&mut self, counts: impl IntoIterator<Item = (u32, u32)>, min_count: u32) -> usize {
+        self.entries
+            .extend(counts.into_iter().filter(|&(_, c)| c >= min_count));
+        self.entries.len() - self.starts[self.len()]
+    }
+
+    /// Ends the row being built (possibly empty) and returns its number.
+    fn close_row(&mut self) -> usize {
+        let start = self.starts[self.len()];
+        let row = &mut self.entries[start..];
+        row.sort_unstable_by_key(|&(id, _)| id);
+        self.totals
+            .push(row.iter().map(|&(_, c)| u64::from(c)).sum());
+        self.starts.push(self.entries.len());
+        self.len() - 1
+    }
+
+    /// Freezes a single-context table, contexts ascending: row number =
+    /// context id, so contexts the table skips get empty rows. Counts
+    /// below `min_count` (at least 1) are dropped.
+    fn dense<R: IntoIterator<Item = (u32, u32)>>(
+        table: impl IntoIterator<Item = (u32, R)>,
+        min_count: u32,
+    ) -> Self {
+        let mut rows = Self::new();
+        for (ctx, counts) in table {
+            while rows.len() < ctx as usize {
+                rows.close_row();
+            }
+            rows.stage(counts, min_count);
+            rows.close_row();
+        }
+        rows
+    }
+}
+
+/// A pair-context table. Its contexts `(a, b)` are kept in ascending order
+/// and the context at position `r` owns row `r`, so a look-up is an index
+/// by `a` and a binary search for `b` among the few contexts that share it.
+#[derive(Debug, Clone)]
+struct PairRows {
+    /// The contexts whose first id is `a` are
+    /// `seconds[firsts[a]..firsts[a + 1]]`.
+    firsts: Vec<usize>,
+    seconds: Vec<u32>,
+    rows: Rows,
+}
+
+impl PairRows {
+    /// Freezes a pair-context table, `pair_key`s ascending. Counts below
+    /// `min_count` (at least 1) are dropped, and a context left with none
+    /// gets no row.
+    fn freeze<R: IntoIterator<Item = (u32, u32)>>(
+        table: impl IntoIterator<Item = (u64, R)>,
+        min_count: u32,
+    ) -> Self {
+        let (mut firsts, mut seconds, mut rows) = (Vec::new(), Vec::new(), Rows::new());
+        let mut last = None;
+        for (key, counts) in table {
+            debug_assert!(last.replace(key) < Some(key), "contexts arrive ascending");
+            if rows.stage(counts, min_count) > 0 {
+                let a = (key >> 32) as usize;
+                firsts.resize(firsts.len().max(a + 1), seconds.len());
+                seconds.push(key as u32);
+                rows.close_row();
+            }
+        }
+        firsts.push(seconds.len());
+        Self {
+            firsts,
+            seconds,
+            rows,
+        }
+    }
+
+    fn row(&self, a: u32, b: u32) -> Row<'_> {
+        let a = a as usize;
+        let (Some(&from), Some(&to)) = (self.firsts.get(a), self.firsts.get(a + 1)) else {
+            return Row::EMPTY;
+        };
+        match self.seconds[from..to].binary_search(&b) {
+            Ok(i) => self.rows.row(from + i),
+            Err(_) => Row::EMPTY,
+        }
+    }
+}
+
+/// Unigram counts, dense by id, and the ids ranked for the novel-context
+/// fallback.
+#[derive(Debug, Clone)]
+struct Unigrams {
+    counts: Vec<u32>,
+    /// Every id with a positive count, most frequent first, ties by
+    /// ascending id.
+    ranked: Vec<u32>,
+}
+
+impl Unigrams {
+    fn new(counts: Vec<u32>) -> Self {
+        let mut ranked: Vec<u32> = (0..counts.len() as u32)
+            .filter(|&id| counts[id as usize] > 0)
+            .collect();
+        ranked
+            .sort_unstable_by(|&a, &b| counts[b as usize].cmp(&counts[a as usize]).then(a.cmp(&b)));
+        Self { counts, ranked }
+    }
+}
+
+/// A training table's contexts in ascending order, as the freezes take
+/// them.
+fn ascending<K: Ord + Copy>(table: Counting<K>) -> Vec<(K, HashMap<u32, u32>)> {
+    let mut contexts: Vec<_> = table.into_iter().collect();
+    contexts.sort_unstable_by_key(|&(key, _)| key);
+    contexts
+}
 
 /// The trained bidirectional n-gram model.
+///
+/// The count tables are read-only once [`NgramMlm::train`] (or a load)
+/// returns, so the model holds them frozen: rows sorted by candidate id
+/// with their totals stored, found by index (`uni`, `fwd`, `bwd`) or by an
+/// index and a short binary search (`tri`, `between`), once per call. On
+/// disk they stay the nested maps `{context: {candidate: count}}` they
+/// always were; the `*_serde` modules below convert at the boundary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NgramMlm {
     config: NgramConfig,
     vocab: Vocab,
     /// Unigram counts per id.
-    uni: HashMap<u32, u32>,
+    #[serde(with = "unigram_serde")]
+    uni: Unigrams,
     /// Total regular tokens seen.
     total: u64,
     /// `fwd[prev][cur]`: count of `cur` following `prev`.
-    fwd: CondCounts,
+    #[serde(with = "dense_serde")]
+    fwd: Rows,
     /// `bwd[next][cur]`: count of `cur` preceding `next`.
-    bwd: CondCounts,
+    #[serde(with = "dense_serde")]
+    bwd: Rows,
     /// `tri[(prev,next)][cur]`: count of `cur` between `prev` and `next`.
-    tri: HashMap<u64, HashMap<u32, u32>>,
+    #[serde(with = "pair_serde")]
+    tri: PairRows,
     /// `between[(a,b)][cur]`: count of `cur` occurring strictly between `a`
     /// and `b` in a sentence, with the whole span within `between_window`.
-    between: HashMap<u64, HashMap<u32, u32>>,
+    #[serde(with = "pair_serde")]
+    between: PairRows,
 }
 
 impl NgramMlm {
-    /// Counts all n-gram statistics over a corpus of token-key sequences.
+    /// Counts all n-gram statistics over a corpus of token-key sequences,
+    /// drops conditional counts below [`NgramConfig::prune_below`] (and the
+    /// contexts that leaves empty; unigram counts are the fallback and are
+    /// kept), and freezes what remains.
     pub fn train(config: &NgramConfig, corpus: &[Vec<u64>]) -> Self {
         let mut vocab = Vocab::new();
-        let mut uni: HashMap<u32, u32> = HashMap::new();
-        let mut fwd: CondCounts = HashMap::new();
-        let mut bwd: CondCounts = HashMap::new();
-        let mut tri: HashMap<u64, HashMap<u32, u32>> = HashMap::new();
-        let mut between: HashMap<u64, HashMap<u32, u32>> = HashMap::new();
+        let mut uni: Vec<u32> = Vec::new();
+        let mut fwd: Counting<u32> = HashMap::new();
+        let mut bwd: Counting<u32> = HashMap::new();
+        let mut tri: Counting<u64> = HashMap::new();
+        let mut between: Counting<u64> = HashMap::new();
         let window = config.between_window.max(2);
         let mut total = 0u64;
         let mut ids = Vec::new();
@@ -100,8 +284,9 @@ impl NgramMlm {
             ids.clear();
             ids.extend(seq.iter().map(|&k| vocab.get_or_insert(k)));
             total += ids.len() as u64;
+            uni.resize(vocab.total_len(), 0);
             for &id in &ids {
-                *uni.entry(id).or_insert(0) += 1;
+                uni[id as usize] += 1;
             }
             for w in ids.windows(2) {
                 *fwd.entry(w[0]).or_default().entry(w[1]).or_insert(0) += 1;
@@ -126,50 +311,26 @@ impl NgramMlm {
                 }
             }
         }
-        let mut model = Self {
+        let min_count = config.prune_below.max(1);
+        Self {
             config: *config,
             vocab,
-            uni,
+            uni: Unigrams::new(uni),
             total,
-            fwd,
-            bwd,
-            tri,
-            between,
-        };
-        if config.prune_below > 1 {
-            model.prune(config.prune_below);
+            fwd: Rows::dense(ascending(fwd), min_count),
+            bwd: Rows::dense(ascending(bwd), min_count),
+            tri: PairRows::freeze(ascending(tri), min_count),
+            between: PairRows::freeze(ascending(between), min_count),
         }
-        model
-    }
-
-    /// Drops all conditional-count entries below `min_count` and empty
-    /// contexts. Unigram counts are kept (they are the fallback).
-    pub fn prune(&mut self, min_count: u32) {
-        let prune_cond = |table: &mut CondCounts| {
-            for counts in table.values_mut() {
-                counts.retain(|_, c| *c >= min_count);
-            }
-            table.retain(|_, counts| !counts.is_empty());
-        };
-        prune_cond(&mut self.fwd);
-        prune_cond(&mut self.bwd);
-        for counts in self.tri.values_mut() {
-            counts.retain(|_, c| *c >= min_count);
-        }
-        self.tri.retain(|_, counts| !counts.is_empty());
-        for counts in self.between.values_mut() {
-            counts.retain(|_, c| *c >= min_count);
-        }
-        self.between.retain(|_, counts| !counts.is_empty());
     }
 
     /// Total entries across all conditional tables — the memory the
     /// model's transition statistics occupy (vocabulary excluded).
     pub fn table_entries(&self) -> usize {
-        self.fwd.values().map(|c| c.len()).sum::<usize>()
-            + self.bwd.values().map(|c| c.len()).sum::<usize>()
-            + self.tri.values().map(|c| c.len()).sum::<usize>()
-            + self.between.values().map(|c| c.len()).sum::<usize>()
+        self.fwd.entries.len()
+            + self.bwd.entries.len()
+            + self.tri.rows.entries.len()
+            + self.between.rows.entries.len()
     }
 
     /// The model's vocabulary (cell-key ↔ id mapping).
@@ -177,53 +338,11 @@ impl NgramMlm {
         &self.vocab
     }
 
-    fn cond_prob(table: &CondCounts, ctx: u32, cand: u32) -> f64 {
-        match table.get(&ctx) {
-            Some(counts) => {
-                let total: u32 = counts.values().sum();
-                if total == 0 {
-                    0.0
-                } else {
-                    *counts.get(&cand).unwrap_or(&0) as f64 / total as f64
-                }
-            }
-            None => 0.0,
-        }
-    }
-
-    fn between_prob(&self, a: u32, b: u32, cand: u32) -> f64 {
-        match self.between.get(&pair_key(a, b)) {
-            Some(counts) => {
-                let total: u32 = counts.values().sum();
-                if total == 0 {
-                    0.0
-                } else {
-                    *counts.get(&cand).unwrap_or(&0) as f64 / total as f64
-                }
-            }
-            None => 0.0,
-        }
-    }
-
-    fn tri_prob(&self, prev: u32, next: u32, cand: u32) -> f64 {
-        match self.tri.get(&pair_key(prev, next)) {
-            Some(counts) => {
-                let total: u32 = counts.values().sum();
-                if total == 0 {
-                    0.0
-                } else {
-                    *counts.get(&cand).unwrap_or(&0) as f64 / total as f64
-                }
-            }
-            None => 0.0,
-        }
-    }
-
     fn uni_prob(&self, cand: u32) -> f64 {
         if self.total == 0 {
             0.0
         } else {
-            *self.uni.get(&cand).unwrap_or(&0) as f64 / self.total as f64
+            self.uni.counts.get(cand as usize).copied().unwrap_or(0) as f64 / self.total as f64
         }
     }
 }
@@ -234,65 +353,60 @@ impl MaskedTokenModel for NgramMlm {
         if top_k == 0 || self.vocab.is_empty() {
             return Vec::new();
         }
-        let prev = if pos > 0 {
-            Some(self.vocab.id_of(seq[pos - 1]))
-        } else {
-            None
-        };
-        let next = if pos + 1 < seq.len() {
-            Some(self.vocab.id_of(seq[pos + 1]))
-        } else {
-            None
-        };
-        // Candidate set: everything the context tables have seen in this
-        // context. Falls back to the global unigram head when the context is
-        // entirely novel.
-        let mut cand_ids: Vec<u32> = Vec::new();
-        if let (Some(p), Some(n)) = (prev, next) {
-            if let Some(counts) = self.tri.get(&pair_key(p, n)) {
-                cand_ids.extend(counts.keys());
-            }
-            if let Some(counts) = self.between.get(&pair_key(p, n)) {
-                cand_ids.extend(counts.keys());
-            }
-        }
-        if let Some(p) = prev {
-            if let Some(counts) = self.fwd.get(&p) {
-                cand_ids.extend(counts.keys());
-            }
-        }
-        if let Some(n) = next {
-            if let Some(counts) = self.bwd.get(&n) {
-                cand_ids.extend(counts.keys());
-            }
-        }
-        cand_ids.sort_unstable();
-        cand_ids.dedup();
-        if cand_ids.is_empty() {
-            // Novel context: rank by unigram frequency.
-            let mut by_freq: Vec<(u32, u32)> =
-                self.uni.iter().map(|(&id, &c)| (id, c)).collect();
-            by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            cand_ids.extend(by_freq.into_iter().take(top_k * 4).map(|(id, _)| id));
-        }
+        let prev = pos.checked_sub(1).map(|i| self.vocab.id_of(seq[i]));
+        let next = seq.get(pos + 1).map(|&key| self.vocab.id_of(key));
+        let pair = prev.zip(next);
         let cfg = &self.config;
-        let mut scored: Vec<(u32, f64)> = cand_ids
-            .into_iter()
-            .map(|c| {
-                let mut s = cfg.uni_weight * self.uni_prob(c);
-                if let (Some(p), Some(n)) = (prev, next) {
-                    s += cfg.tri_weight * self.tri_prob(p, n, c);
-                    s += cfg.between_weight * self.between_prob(p, n, c);
+        // The four context rows, in the order their terms join a score.
+        let rows = [
+            (
+                cfg.tri_weight,
+                pair.map_or(Row::EMPTY, |(p, n)| self.tri.row(p, n)),
+            ),
+            (
+                cfg.between_weight,
+                pair.map_or(Row::EMPTY, |(p, n)| self.between.row(p, n)),
+            ),
+            (
+                cfg.fwd_weight,
+                prev.map_or(Row::EMPTY, |p| self.fwd.row(p as usize)),
+            ),
+            (
+                cfg.bwd_weight,
+                next.map_or(Row::EMPTY, |n| self.bwd.row(n as usize)),
+            ),
+        ];
+        // Candidate set: everything the context tables have seen in this
+        // context, scored in one merge over the rows by ascending id. A row
+        // that lacks the candidate would add `weight × 0/total`, so it adds
+        // nothing.
+        let mut scored: Vec<(u32, f64)> =
+            Vec::with_capacity(rows.iter().map(|(_, row)| row.entries.len()).sum());
+        let mut at = [0usize; 4];
+        loop {
+            let heads = rows
+                .iter()
+                .zip(at)
+                .filter_map(|((_, row), i)| row.entries.get(i));
+            let Some(c) = heads.map(|&(id, _)| id).min() else {
+                break;
+            };
+            let mut s = cfg.uni_weight * self.uni_prob(c);
+            for ((weight, row), i) in rows.iter().zip(&mut at) {
+                if let Some(&(id, count)) = row.entries.get(*i) {
+                    if id == c {
+                        s += weight * (count as f64 / row.total as f64);
+                        *i += 1;
+                    }
                 }
-                if let Some(p) = prev {
-                    s += cfg.fwd_weight * Self::cond_prob(&self.fwd, p, c);
-                }
-                if let Some(n) = next {
-                    s += cfg.bwd_weight * Self::cond_prob(&self.bwd, n, c);
-                }
-                (c, s)
-            })
-            .collect();
+            }
+            scored.push((c, s));
+        }
+        if scored.is_empty() {
+            // Novel context: the unigram head, in its ranked order.
+            let head = self.uni.ranked.iter().take(top_k.saturating_mul(4));
+            scored.extend(head.map(|&c| (c, cfg.uni_weight * self.uni_prob(c))));
+        }
         let norm: f64 = scored.iter().map(|(_, s)| s).sum();
         if norm <= 0.0 {
             return Vec::new();
@@ -320,6 +434,101 @@ impl MaskedTokenModel for NgramMlm {
 
     fn trained_tokens(&self) -> u64 {
         self.total
+    }
+}
+
+/// A dense table reaches its largest context id, so an id read from a
+/// file is bounded before rows are allocated up to it: 2²⁶ regular tokens
+/// is every 75 m cell of a continent.
+fn dense_len<E: serde::de::Error>(largest_id: Option<u32>) -> Result<usize, E> {
+    const MAX_ID: u32 = 1 << 26;
+    match largest_id {
+        Some(id) if id > MAX_ID => Err(E::custom(format!(
+            "token id {id} exceeds the {MAX_ID} a count table may reach"
+        ))),
+        Some(id) => Ok(id as usize + 1),
+        None => Ok(0),
+    }
+}
+
+/// A frozen row as the `{candidate: count}` map it is on disk.
+struct RowMap<'a>(&'a [(u32, u32)]);
+
+impl Serialize for RowMap<'_> {
+    fn serialize<S: serde::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        let map: HashMap<u32, u32> = self.0.iter().copied().collect();
+        map.serialize(ser)
+    }
+}
+
+/// `uni` on disk: `{id: count}` over the ids seen.
+mod unigram_serde {
+    use super::{dense_len, Unigrams};
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use std::collections::{BTreeMap, HashMap};
+
+    pub fn serialize<S: Serializer>(uni: &Unigrams, ser: S) -> Result<S::Ok, S::Error> {
+        let map: HashMap<u32, u32> = uni
+            .ranked
+            .iter()
+            .map(|&id| (id, uni.counts[id as usize]))
+            .collect();
+        map.serialize(ser)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Unigrams, D::Error> {
+        let map: BTreeMap<u32, u32> = BTreeMap::deserialize(de)?;
+        let mut counts = vec![0; dense_len(map.keys().next_back().copied())?];
+        for (id, count) in map {
+            counts[id as usize] = count;
+        }
+        Ok(Unigrams::new(counts))
+    }
+}
+
+/// `fwd` / `bwd` on disk: `{context id: {candidate id: count}}` over the
+/// contexts with a non-empty row.
+mod dense_serde {
+    use super::{dense_len, RowMap, Rows};
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use std::collections::{BTreeMap, HashMap};
+
+    pub fn serialize<S: Serializer>(rows: &Rows, ser: S) -> Result<S::Ok, S::Error> {
+        let map: HashMap<u32, RowMap> = (0..rows.len())
+            .map(|r| (r as u32, RowMap(rows.row(r).entries)))
+            .filter(|(_, row)| !row.0.is_empty())
+            .collect();
+        map.serialize(ser)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Rows, D::Error> {
+        let map: BTreeMap<u32, BTreeMap<u32, u32>> = BTreeMap::deserialize(de)?;
+        dense_len(map.keys().next_back().copied())?;
+        Ok(Rows::dense(map, 1))
+    }
+}
+
+/// `tri` / `between` on disk: `{pair key: {candidate id: count}}`.
+mod pair_serde {
+    use super::{dense_len, pair_key, PairRows, RowMap};
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use std::collections::{BTreeMap, HashMap};
+
+    pub fn serialize<S: Serializer>(table: &PairRows, ser: S) -> Result<S::Ok, S::Error> {
+        let mut map: HashMap<u64, RowMap> = HashMap::with_capacity(table.seconds.len());
+        for (a, span) in table.firsts.windows(2).enumerate() {
+            for r in span[0]..span[1] {
+                let key = pair_key(a as u32, table.seconds[r]);
+                map.insert(key, RowMap(table.rows.row(r).entries));
+            }
+        }
+        map.serialize(ser)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<PairRows, D::Error> {
+        let map: BTreeMap<u64, BTreeMap<u32, u32>> = BTreeMap::deserialize(de)?;
+        dense_len(map.keys().next_back().map(|&key| (key >> 32) as u32))?;
+        Ok(PairRows::freeze(map, 1))
     }
 }
 
@@ -433,5 +642,95 @@ mod tests {
         let m = NgramMlm::train(&NgramConfig::default(), &chain_corpus());
         assert_eq!(m.trained_tokens(), 100);
         assert_eq!(m.vocab_len(), 5);
+    }
+
+    include!("../../../tests/common/canonical_json.rs");
+
+    /// What the commit before the frozen rows wrote for `NgramMlm::train`
+    /// over [`four_sentences`]: nested `{context: {candidate: count}}`
+    /// maps, members in that run's hash order.
+    const NESTED_MAP_JSON: &str = r#"{"config":{"tri_weight":0.4,"between_weight":0.32,"fwd_weight":0.11,"bwd_weight":0.11,"uni_weight":0.06,"between_window":24,"prune_below":0},"vocab":{"forward":{"40":8,"21":9,"10":5,"31":10,"41":11,"20":6,"30":7},"backward":[10,20,30,40,21,31,41]},"uni":{"6":3,"7":3,"9":1,"5":4,"8":3,"10":1,"11":1},"total":16,"fwd":{"9":{"7":1},"6":{"10":1,"7":2},"10":{"11":1},"7":{"8":3},"5":{"6":3,"9":1}},"bwd":{"9":{"5":1},"6":{"5":3},"8":{"7":3},"7":{"6":2,"9":1},"10":{"6":1},"11":{"10":1}},"tri":{"21474836490":{"6":1},"38654705672":{"7":1},"21474836487":{"6":2,"9":1},"25769803784":{"7":2},"25769803787":{"10":1}},"between":{"21474836488":{"9":1,"7":3,"6":2},"38654705672":{"7":1},"21474836490":{"6":1},"21474836487":{"6":2,"9":1},"25769803787":{"10":1},"25769803784":{"7":2},"21474836491":{"10":1,"6":1}}}"#;
+
+    fn four_sentences() -> Vec<Vec<u64>> {
+        vec![
+            vec![10, 20, 30, 40],
+            vec![10, 20, 30, 40],
+            vec![10, 21, 30, 40],
+            vec![10, 20, 31, 41],
+        ]
+    }
+
+    #[test]
+    fn nested_map_json_loads_and_answers_as_it_did_before_the_freeze() {
+        let model: NgramMlm = serde_json::from_str(NESTED_MAP_JSON).expect("nested-map JSON");
+        // (sequence, mask, top-3 as (key, probability bits)) from that commit.
+        type Pinned<'a> = (&'a [u64], usize, &'a [(u64, u64)]);
+        let pinned: [Pinned; 5] = [
+            (
+                &[10, 0, 30],
+                1,
+                &[(20, 4604278265113606590), (21, 4599479927290727554)],
+            ),
+            (&[0, 20], 0, &[(10, 4607182418800017408)]),
+            (&[30, 0], 1, &[(40, 4607182418800017408)]),
+            (
+                &[999, 0, 888],
+                1,
+                &[
+                    (10, 4598175219545276414),
+                    (20, 4595923419731591166),
+                    (30, 4595923419731591166),
+                ],
+            ),
+            (
+                &[20, 0, 41],
+                1,
+                &[(31, 4606384660750840959), (30, 4591046485056576521)],
+            ),
+        ];
+        for (seq, pos, expected) in pinned {
+            let got: Vec<(u64, u64)> = model
+                .predict_masked(seq, pos, 3)
+                .iter()
+                .map(|c| (c.key, c.prob.to_bits()))
+                .collect();
+            assert_eq!(got, expected, "{seq:?} masked at {pos}");
+        }
+    }
+
+    #[test]
+    fn on_disk_shape_is_the_nested_maps_it_always_was() {
+        let wrote = canonical_json(NESTED_MAP_JSON);
+        let trained = NgramMlm::train(&NgramConfig::default(), &four_sentences());
+        let json = serde_json::to_string(&trained).expect("serialize");
+        assert_eq!(canonical_json(&json), wrote);
+        let loaded: NgramMlm = serde_json::from_str(&json).expect("deserialize");
+        let again = serde_json::to_string(&loaded).expect("serialize");
+        assert_eq!(canonical_json(&again), wrote);
+    }
+
+    #[test]
+    fn a_row_total_past_u32_does_not_wrap() {
+        // Two counts that sum to 2³² + 2: a `u32` total is 2, which puts
+        // all but 1e-9 of the mass on the first.
+        let json = NESTED_MAP_JSON.replace(r#""7":{"8":3}"#, r#""7":{"8":4294967295,"6":3}"#);
+        let model: NgramMlm = serde_json::from_str(&json).expect("nested-map JSON");
+        let preds = model.predict_masked(&[30, 0], 1, 2);
+        assert_eq!(preds[0].key, 40);
+        assert!((preds[0].prob - 0.9151).abs() < 1e-4, "{preds:?}");
+    }
+
+    #[test]
+    fn a_context_id_no_vocabulary_reaches_is_refused_before_allocating() {
+        let far_pair = format!(r#""{}":{{"6":1}},"#, pair_key(4_000_000_000, 6));
+        for (field, entry) in [
+            (r#""uni":{"#, r#""4000000000":1,"#),
+            (r#""fwd":{"#, r#""4000000000":{"6":1},"#),
+            (r#""tri":{"#, far_pair.as_str()),
+        ] {
+            let json = NESTED_MAP_JSON.replace(field, &format!("{field}{entry}"));
+            let err = serde_json::from_str::<NgramMlm>(&json).expect_err("out-of-range id");
+            assert!(err.to_string().contains("4000000000"), "{err}");
+        }
     }
 }

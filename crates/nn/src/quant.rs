@@ -210,7 +210,7 @@ impl QuantizedLinear {
         for &q in self.wq.codes() {
             out.push(q as u8);
         }
-        while (out.len() - start) % 4 != 0 {
+        while !(out.len() - start).is_multiple_of(4) {
             out.push(0);
         }
         debug_assert_eq!(out.len() - start, Self::packed_len(self.out_dim, self.in_dim));
