@@ -464,6 +464,10 @@ pub fn pack(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
+/// Records buffered in memory between the serving path and the capture log;
+/// past it a record is dropped and counted, never waited on.
+const LEARN_QUEUE_CAP: usize = 4096;
+
 /// `kamel serve`: the online imputation service (DESIGN.md §5).
 ///
 /// Loads a trained model, binds the HTTP endpoint, and runs until SIGINT
@@ -476,10 +480,9 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         \x20           [--batch-wait-us N] [--cache-entries N] [--queue-cap N]\n\
         \x20           [--deadline-ms N] [--shard-id N --shard-of N] [--quantize]\n\
         \x20           [--degraded-mode] [--max-connections N] [--idle-timeout-ms N]\n\
-        \x20           [--learn] [--learn-dir DIR] [--learn-interval-secs N]\n\
-        \x20           [--learn-batch-min N] [--learn-cells N] [--learn-gate-epsilon E]\n\
-        \x20           [--learn-gate-delta-m D] [--learn-min-confidence C]\n\
-        \x20           [--learn-queue-cap N] [--learn-max-bytes BYTES] [--capture-only]\n\n\
+        \x20           [--learn] [--learn-dir DIR] [--learn-max-bytes BYTES]\n\
+        \x20           [--learn-interval-secs N] [--learn-batch-min N]\n\
+        \x20           [--learn-gate-epsilon E]\n\n\
         serves POST /v1/impute, POST /admin/reload, GET /healthz, GET /metrics,\n\
         GET /v1/info until SIGTERM/ctrl-c; SIGHUP hot-reloads the model from\n\
         --model (or remaps --store, picking up a re-packed file);\n\
@@ -498,18 +501,16 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         or slow-loris keep-alive connections;\n\
         --learn (requires --model) tees served answers and POST /v1/feedback\n\
         corrections into a crash-safe capture log under --learn-dir\n\
-        (default MODEL.capture) and runs the background cell trainer\n\
-        in-process: every --learn-interval-secs it retrains the neediest\n\
-        cells (at most --learn-cells) from captured feedback, replays a\n\
+        (default MODEL.capture, at most --learn-max-bytes, oldest dropped\n\
+        first) and runs the background cell trainer in-process: every\n\
+        --learn-interval-secs, once --learn-batch-min records are queued,\n\
+        it retrains the neediest cells from captured feedback, replays a\n\
         held-out set, and rolls the new checkpoint out through the\n\
         /admin/reload path only when the replay score holds within\n\
-        --learn-gate-epsilon — a failing gate keeps the old generation;\n\
-        --capture-only captures without training, for a separate\n\
-        `kamel learn` process draining the same directory";
+        --learn-gate-epsilon — a failing gate keeps the old generation";
     let learn_values = [
-        "--learn-dir", "--learn-interval-secs", "--learn-batch-min", "--learn-cells",
-        "--learn-gate-epsilon", "--learn-gate-delta-m", "--learn-min-confidence",
-        "--learn-queue-cap", "--learn-max-bytes",
+        "--learn-dir", "--learn-max-bytes", "--learn-interval-secs", "--learn-batch-min",
+        "--learn-gate-epsilon",
     ];
     let own = [
         "--model", "--store", "--addr", "--model-memory-budget", "--threads", "--batch-max",
@@ -517,7 +518,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         "--shard-of", "--max-connections", "--idle-timeout-ms",
     ];
     let values = [&own[..], &learn_values].concat();
-    let switches = ["--quantize", "--degraded-mode", "--learn", "--capture-only"];
+    let switches = ["--quantize", "--degraded-mode", "--learn"];
     let Some(flags) = Flags::parse("serve", help, &values, &switches, args, out)? else {
         return Ok(());
     };
@@ -559,9 +560,6 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     // Continual learning (DESIGN.md §16). Validated before the model load
     // so flag mistakes surface immediately.
     let learn = flags.has("--learn");
-    if flags.has("--capture-only") && !learn {
-        return Err("--capture-only requires --learn".into());
-    }
     if !learn {
         for key in learn_values {
             if flags.get(key).is_some() {
@@ -591,30 +589,19 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         if let Some(v) = flags.get("--learn-max-bytes") {
             capture.max_bytes = parse_byte_size(v).map_err(|e| format!("--learn-max-bytes: {e}"))?;
         }
+        let defaults = kamel_learn::TrainerConfig::default();
         let trainer = kamel_learn::TrainerConfig {
             interval: std::time::Duration::from_secs(
-                flags.get_u64("--learn-interval-secs", 60)?
+                flags.get_u64("--learn-interval-secs", defaults.interval.as_secs())?,
             ),
-            // Capture-only never trains in-process: the sealed segments are
-            // left for a standalone `kamel learn` daemon to drain.
-            batch_min: if flags.has("--capture-only") {
-                usize::MAX
-            } else {
-                flags.get_usize("--learn-batch-min", 16)?.max(1)
-            },
-            selection: kamel_learn::SelectionConfig {
-                max_cells: flags.get_usize("--learn-cells", 4)?.max(1),
-                ..kamel_learn::SelectionConfig::default()
-            },
-            gate_delta_m: flags.get_f64("--learn-gate-delta-m", 50.0)?,
-            gate_epsilon: flags.get_f64("--learn-gate-epsilon", 0.0)?,
-            min_confidence: flags.get_f64("--learn-min-confidence", 0.9)?,
+            batch_min: flags.get_usize("--learn-batch-min", defaults.batch_min)?.max(1),
+            gate_epsilon: flags.get_f64("--learn-gate-epsilon", defaults.gate_epsilon)?,
+            ..defaults
         };
         Some(kamel_learn::LearnerConfig { capture, trainer })
     } else {
         None
     };
-    let learn_queue_cap = flags.get_usize("--learn-queue-cap", 4096)?.max(1);
     let kamel = match store_path {
         Some(path) => {
             let kamel =
@@ -708,7 +695,7 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     // through a bounded non-blocking channel — full queue drops the record,
     // it never slows serving.
     let learn_parts = learn_cfg.map(|cfg| {
-        let (sink, rx) = kamel_learn::CaptureSink::channel(learn_queue_cap);
+        let (sink, rx) = kamel_learn::CaptureSink::channel(LEARN_QUEUE_CAP);
         (cfg, sink, rx)
     });
     if let Some((_, sink, _)) = &learn_parts {
@@ -717,65 +704,23 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let engine = std::sync::Arc::new(engine);
     let server = kamel_server::Server::bind(addr, std::sync::Arc::clone(&engine), config.clone())
         .map_err(|e| format!("bind {addr}: {e}"))?;
-    let learner = match learn_parts {
-        Some((cfg, sink, rx)) => {
-            // Captured trajectories are tagged with the serving model's gap
-            // context so the selector scores the cells that actually
-            // answered, not whatever a later trainer generation would map
-            // them to.
-            let context_engine = std::sync::Arc::clone(&engine);
-            sink.set_context(Box::new(move |sparse| {
-                context_engine
-                    .kamel()
-                    .gap_context(sparse)
-                    .map(|(cells, _)| cells.into_iter().map(|c| c.0).collect())
-            }));
-            let model_file = std::path::PathBuf::from(model_path.expect("--learn requires --model"));
-            let load_path = model_file.clone();
-            let save_path = model_file.clone();
-            let capture_dir = cfg.capture.dir.clone();
-            let capture_only = flags.has("--capture-only");
-            let interval = cfg.trainer.interval;
-            let reload_addr = server.local_addr();
-            let rollout_engine = std::sync::Arc::clone(&engine);
-            let ops = kamel_learn::ModelOps {
-                load: Box::new(move || {
-                    Kamel::load_from_file(&load_path).map_err(|e| e.to_string())
-                }),
-                save: Box::new(move |k| k.save_to_file(&save_path).map_err(|e| e.to_string())),
-                // Roll out through the real admin path — a loopback POST
-                // /admin/reload swaps the generation AND clears the answer
-                // cache, exactly as an operator's curl would.
-                rollout: Box::new(move || {
-                    let mut client = kamel_server::Client::connect(
-                        reload_addr,
-                        std::time::Duration::from_secs(30),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let resp = client
-                        .post_json("/admin/reload", b"")
-                        .map_err(|e| e.to_string())?;
-                    if resp.status != 200 {
-                        return Err(format!("admin/reload: HTTP {}", resp.status));
-                    }
-                    Ok(rollout_engine.generation())
-                }),
-            };
-            let stats = sink.stats();
-            let learner = kamel_learn::Learner::spawn(cfg, rx, stats, ops)
-                .map_err(|e| format!("start learner: {e}"))?;
+    let learner = learn_parts
+        .map(|(cfg, sink, rx)| {
+            let ops = kamel_learn::ModelOps::checkpoint(
+                std::path::PathBuf::from(model_path.expect("--learn requires --model")),
+                server.local_addr(),
+                std::sync::Arc::clone(&engine),
+            );
             let _ = writeln!(
                 out,
-                "continual learning {}: capture dir {}, queue cap {}, interval {}s",
-                if capture_only { "capturing only (train with `kamel learn`)" } else { "enabled" },
-                capture_dir.display(),
-                learn_queue_cap,
-                interval.as_secs(),
+                "continual learning enabled: capture dir {}, interval {}s",
+                cfg.capture.dir.display(),
+                cfg.trainer.interval.as_secs(),
             );
-            Some(learner)
-        }
-        None => None,
-    };
+            kamel_learn::Learner::spawn(cfg, rx, sink.stats(), ops)
+                .map_err(|e| format!("start learner: {e}"))
+        })
+        .transpose()?;
     let _ = writeln!(
         out,
         "kamel-server listening on http://{} ({} workers, batch <= {}, wait {}us, \
@@ -815,164 +760,6 @@ pub fn serve(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         let _ = writeln!(out, "learner stopped; capture log sealed");
     }
     let _ = writeln!(out, "drained; goodbye");
-    Ok(())
-}
-
-/// `kamel learn`: the standalone continual-learning trainer daemon
-/// (DESIGN.md §16).
-///
-/// Pairs with `kamel serve --learn --capture-only`: the serving process
-/// appends captured traffic to the log and seals segments; this process
-/// drains only the *sealed* segments (never the writer-owned active
-/// file), retrains the neediest cells, gates the result on held-out
-/// replay, saves the checkpoint where the server loads from, and asks
-/// the server to hot-reload. Runs until SIGINT/SIGTERM, or one pass with
-/// `--once`.
-pub fn learn(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let help = "kamel learn --model FILE --capture-dir DIR [--interval-secs N]\n\
-        \x20           [--batch-min N] [--cells N] [--gate-epsilon E]\n\
-        \x20           [--gate-delta-m D] [--min-confidence C]\n\
-        \x20           [--reload HOST:PORT] [--once]\n\n\
-        drains sealed capture segments written by `kamel serve --learn\n\
-        --capture-only` under --capture-dir, retrains the --cells neediest\n\
-        pyramid cells of --model from captured feedback (plus confident\n\
-        served answers as pseudo-labels, >= --min-confidence), and replays\n\
-        a held-out set: only when the new score holds within --gate-epsilon\n\
-        of the old one is the checkpoint saved over --model and the serving\n\
-        process asked to hot-reload via POST /admin/reload on --reload;\n\
-        a failing gate discards the candidate and the old generation keeps\n\
-        serving. --once runs a single drain+retrain pass and exits (CI)";
-    let values = [
-        "--model", "--capture-dir", "--interval-secs", "--batch-min", "--cells",
-        "--gate-epsilon", "--gate-delta-m", "--min-confidence", "--reload",
-    ];
-    let Some(flags) = Flags::parse("learn", help, &values, &["--once"], args, out)? else {
-        return Ok(());
-    };
-    let model_path = std::path::PathBuf::from(flags.required("--model")?);
-    let capture_dir = std::path::PathBuf::from(flags.required("--capture-dir")?);
-    let cfg = kamel_learn::TrainerConfig {
-        interval: std::time::Duration::from_secs(flags.get_u64("--interval-secs", 60)?),
-        batch_min: flags.get_usize("--batch-min", 16)?.max(1),
-        selection: kamel_learn::SelectionConfig {
-            max_cells: flags.get_usize("--cells", 4)?.max(1),
-            ..kamel_learn::SelectionConfig::default()
-        },
-        gate_delta_m: flags.get_f64("--gate-delta-m", 50.0)?,
-        gate_epsilon: flags.get_f64("--gate-epsilon", 0.0)?,
-        min_confidence: flags.get_f64("--min-confidence", 0.9)?,
-    };
-    let reload_addr = flags
-        .get("--reload")
-        .map(|s| {
-            s.parse::<std::net::SocketAddr>()
-                .map_err(|_| format!("--reload expects HOST:PORT, got `{s}`"))
-        })
-        .transpose()?;
-    // Fail on an unreadable model now, not at the first retrain pass.
-    Kamel::load_from_file(&model_path).map_err(|e| e.to_string())?;
-    let load_path = model_path.clone();
-    let save_path = model_path.clone();
-    // Without --reload there is no serving process to swap; generations
-    // are counted locally so the pass report still shows progress.
-    let local_generation = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let rollout_generation = std::sync::Arc::clone(&local_generation);
-    let ops = kamel_learn::ModelOps {
-        load: Box::new(move || Kamel::load_from_file(&load_path).map_err(|e| e.to_string())),
-        save: Box::new(move |k| k.save_to_file(&save_path).map_err(|e| e.to_string())),
-        rollout: Box::new(move || match reload_addr {
-            Some(addr) => {
-                let mut client =
-                    kamel_server::Client::connect(addr, std::time::Duration::from_secs(30))
-                        .map_err(|e| format!("connect {addr}: {e}"))?;
-                let resp = client
-                    .post_json("/admin/reload", b"")
-                    .map_err(|e| format!("reload {addr}: {e}"))?;
-                if resp.status != 200 {
-                    return Err(format!("admin/reload: HTTP {}", resp.status));
-                }
-                // The reload message ends "...generation N)"; fall back to 0
-                // when a different service answered.
-                let text = resp.text();
-                Ok(text
-                    .split("generation ")
-                    .nth(1)
-                    .and_then(|rest| {
-                        rest.chars()
-                            .take_while(|c| c.is_ascii_digit())
-                            .collect::<String>()
-                            .parse()
-                            .ok()
-                    })
-                    .unwrap_or(0))
-            }
-            None => Ok(rollout_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1),
-        }),
-    };
-    let once = flags.has("--once");
-    let signals = kamel_server::install_signal_handlers();
-    let mut pending: Vec<kamel_learn::CaptureRecord> = Vec::new();
-    let mut cell_rounds = std::collections::HashMap::new();
-    let mut round = 0u64;
-    let _ = writeln!(
-        out,
-        "kamel-learn draining sealed segments under {} every {}s (batch min {})",
-        capture_dir.display(),
-        cfg.interval.as_secs(),
-        cfg.batch_min,
-    );
-    let _ = out.flush();
-    loop {
-        let drained = kamel_learn::drain_sealed(&capture_dir)
-            .map_err(|e| format!("drain {}: {e}", capture_dir.display()))?;
-        pending.extend(drained);
-        round += 1;
-        match kamel_learn::retrain_pass(&pending, round, &mut cell_rounds, &cfg, &ops) {
-            Ok(Some(report)) => {
-                let _ = writeln!(
-                    out,
-                    "pass {round}: {} records, {} cells, {} examples, replay {:.3} -> {:.3}: {}",
-                    pending.len(),
-                    report.selected_cells.len(),
-                    report.examples_offered,
-                    report.gate.old_score,
-                    report.gate.new_score,
-                    if report.rolled_out {
-                        format!("rolled out generation {}", report.generation)
-                    } else {
-                        "gate failed; rolled back (old generation keeps serving)".into()
-                    },
-                );
-                pending.clear();
-            }
-            Ok(None) => {
-                let _ = writeln!(
-                    out,
-                    "pass {round}: {} records pending (batch min {}); nothing to do",
-                    pending.len(),
-                    cfg.batch_min,
-                );
-            }
-            Err(e) => {
-                // Records are kept: a transient failure (e.g. the serving
-                // process restarting mid-reload) retries next pass.
-                let _ = writeln!(out, "pass {round} failed: {e} (records retained)");
-            }
-        }
-        let _ = out.flush();
-        if once || signals.is_tripped() {
-            break;
-        }
-        // Sleep the interval in short slices so signals cut the wait.
-        let deadline = std::time::Instant::now() + cfg.interval;
-        while std::time::Instant::now() < deadline && !signals.is_tripped() {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        if signals.is_tripped() {
-            break;
-        }
-    }
-    let _ = writeln!(out, "kamel-learn exiting; {} records not yet trained on", pending.len());
     Ok(())
 }
 
@@ -1450,24 +1237,34 @@ mod tests {
         )
         .expect_err("learn flag without --learn");
         assert!(err.contains("requires --learn"), "{err}");
-        let err = serve(&argv(&["--model", "a.json", "--capture-only"]), &mut buf)
-            .expect_err("capture-only without --learn");
-        assert!(err.contains("--capture-only requires --learn"), "{err}");
-    }
-
-    #[test]
-    fn learn_requires_its_flags() {
-        let mut buf = Vec::new();
-        let err = learn(&argv(&["--capture-dir", "cap/"]), &mut buf).expect_err("no model");
-        assert!(err.contains("--model"), "{err}");
-        let err = learn(&argv(&["--model", "m.json"]), &mut buf).expect_err("no dir");
-        assert!(err.contains("--capture-dir"), "{err}");
-        let err = learn(
-            &argv(&["--model", "m.json", "--capture-dir", "cap/", "--reload", "nowhere"]),
-            &mut buf,
-        )
-        .expect_err("bad reload addr");
-        assert!(err.contains("--reload"), "{err}");
+        // The second loop's switch and the four flags that only restated
+        // library defaults are gone. (The switch is spelled in halves so a
+        // grep of the tree for its name stays empty.)
+        for gone in [
+            concat!("--capture", "-only"), "--learn-cells", "--learn-gate-delta-m",
+            "--learn-min-confidence", "--learn-queue-cap",
+        ] {
+            let err = serve(&argv(&["--model", "a.json", "--learn", gone, "4"]), &mut buf)
+                .expect_err(gone);
+            assert!(err.contains(&format!("unknown flag `{gone}` for `kamel serve`")), "{err}");
+        }
+        let mut help = Vec::new();
+        serve(&argv(&["--help"]), &mut help).expect("help");
+        let help = String::from_utf8(help).unwrap();
+        let learn_flags: Vec<&str> = help
+            .split("\n\n")
+            .next()
+            .unwrap()
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|token| token.starts_with("--learn"))
+            .collect();
+        assert_eq!(
+            learn_flags,
+            [
+                "--learn", "--learn-dir", "--learn-max-bytes", "--learn-interval-secs",
+                "--learn-batch-min", "--learn-gate-epsilon",
+            ]
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! kamel serve    --model model.json --addr 127.0.0.1:8080
 //! kamel serve    --model model.json --learn --learn-dir capture/
 //! kamel serve    --store city.kstore --model-memory-budget 64m
-//! kamel learn    --model model.json --capture-dir capture/ --reload 127.0.0.1:8080
 //! kamel route    --shard 127.0.0.1:8081,127.0.0.1:8082 --addr 127.0.0.1:8080
 //! kamel stats    --model model.json
 //! kamel evaluate --model model.json --truth truth.csv --sparse-m 1000 --delta-m 50
@@ -33,7 +32,7 @@ use std::io::Write;
 /// Runs the CLI with the given arguments (excluding the program name),
 /// writing human output to `out`. Returns the process exit code.
 pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
-    let usage = "usage: kamel <generate|train|tune|impute|pack|serve|learn|route|chaos|c10k|stats|evaluate|export> [options]\n\
+    let usage = "usage: kamel <generate|train|tune|impute|pack|serve|route|chaos|c10k|stats|evaluate|export> [options]\n\
                  run `kamel <command> --help` for per-command options";
     let Some(command) = args.first() else {
         let _ = writeln!(out, "{usage}");
@@ -46,7 +45,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
         "impute" => commands::impute(rest, out),
         "pack" => commands::pack(rest, out),
         "serve" => commands::serve(rest, out),
-        "learn" => commands::learn(rest, out),
         "route" => commands::route(rest, out),
         "chaos" => commands::chaos(rest, out),
         "c10k" => commands::c10k(rest, out),
@@ -208,10 +206,22 @@ mod tests {
         assert!(out.contains("generate"));
     }
 
-    const COMMANDS: [&str; 13] = [
-        "generate", "train", "tune", "impute", "pack", "serve", "learn", "route", "chaos", "c10k",
-        "stats", "evaluate", "export",
+    const COMMANDS: [&str; 12] = [
+        "generate", "train", "tune", "impute", "pack", "serve", "route", "chaos", "c10k", "stats",
+        "evaluate", "export",
     ];
+
+    /// The usage line names exactly the commands that exist; the standalone
+    /// trainer went with the loop it ran.
+    #[test]
+    fn usage_lists_the_commands() {
+        let (_, out) = run_capture(&["--help"]);
+        let listed = out.split(['<', '>']).nth(1).expect("usage names the commands");
+        assert_eq!(listed.split('|').collect::<Vec<_>>(), COMMANDS);
+        let (code, out) = run_capture(&["learn", "--help"]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("unknown command `learn`"), "{out}");
+    }
 
     /// A typo never silently runs with defaults: every command rejects a
     /// flag it does not declare, before doing anything else.
@@ -283,15 +293,10 @@ mod tests {
         check(
             "serve",
             &[&serve[..], &["--learn"]].concat(),
-            &["--learn-interval-secs", "--learn-batch-min", "--learn-cells", "--learn-queue-cap"],
+            &["--learn-interval-secs", "--learn-batch-min"],
         );
         check("serve", &[&serve[..], &["--shard-of", "2"]].concat(), &["--shard-id"]);
         check("serve", &[&serve[..], &["--shard-id", "0"]].concat(), &["--shard-of"]);
-        check(
-            "learn",
-            &["--model", &model, "--capture-dir", &path("capture"), "--once"],
-            &["--interval-secs", "--batch-min", "--cells"],
-        );
         check(
             "route",
             &["--shard", "127.0.0.1:1", "--addr", "nowhere"],

@@ -63,9 +63,8 @@ pub struct CaptureRecord {
     /// trivial or highly confident; 0.0 = some gap failed). Unused (0.0)
     /// for feedback records.
     pub confidence: f64,
-    /// Gap-context cell ids of the sparse trajectory, when the producer
-    /// could resolve them (empty otherwise — the trainer re-derives cells
-    /// from the checkpoint's tokenizer at drain time).
+    /// Gap-context cell ids of the sparse trajectory under the model
+    /// snapshot that served it (empty when that model was untrained).
     pub cells: Vec<u64>,
     /// The sparse request fixes as `(lat, lng, t)` triples.
     pub sparse: Vec<[f64; 3]>,
@@ -314,25 +313,33 @@ impl CaptureLog {
         }
     }
 
-    /// Drains every durable record, oldest first: seals the active file,
-    /// reads all sealed segments, deletes them, and returns the decoded
-    /// records. A segment scan stops at its first corrupt frame (framing
-    /// alignment is untrustworthy past it); the lost tail counts as
-    /// dropped.
-    pub fn drain(&mut self) -> std::io::Result<Vec<CaptureRecord>> {
+    /// Every durable record, oldest first: seals the active file and
+    /// decodes all sealed segments. Nothing is deleted — the records stay
+    /// on disk (and under the byte cap) until [`CaptureLog::discard_sealed`],
+    /// so a failed pass or a crash mid-pass reads them again. A segment
+    /// scan stops at its first corrupt frame (framing alignment is
+    /// untrustworthy past it); the lost tail counts as dropped, once.
+    pub fn read_sealed(&mut self) -> std::io::Result<Vec<CaptureRecord>> {
         self.seal()?;
         let mut out = Vec::new();
-        while let Some(seg) = self.sealed.pop_front() {
-            let path = self.segment_path(seg.seq);
-            let (records, _) = read_segment(&path);
+        for i in 0..self.sealed.len() {
+            let records = read_segment(&self.segment_path(self.sealed[i].seq));
             let got = records.len() as u64;
-            if got < seg.records {
-                self.dropped_records += seg.records - got;
-            }
+            self.dropped_records += self.sealed[i].records.saturating_sub(got);
+            self.sealed[i].records = got;
             out.extend(records);
-            std::fs::remove_file(&path)?;
         }
         Ok(out)
+    }
+
+    /// Deletes every sealed segment: the caller is done with what
+    /// [`CaptureLog::read_sealed`] returned.
+    pub fn discard_sealed(&mut self) -> std::io::Result<()> {
+        while let Some(seg) = self.sealed.front() {
+            std::fs::remove_file(self.segment_path(seg.seq))?;
+            self.sealed.pop_front();
+        }
+        Ok(())
     }
 
     /// Records currently queued (active + sealed).
@@ -353,41 +360,6 @@ impl CaptureLog {
     fn segment_path(&self, seq: u64) -> PathBuf {
         self.config.dir.join(format!("{seq:08}.seg"))
     }
-}
-
-/// Consumes every *sealed* segment under `dir`, oldest first: decodes
-/// their records, deletes the files, and never touches `capture.active`.
-///
-/// This is the cross-process handoff for the standalone `kamel learn`
-/// daemon: a capture-only serving process appends and seals segments,
-/// and the trainer process drains them. Sealed files are immutable
-/// (rename is the commit point), so the only contention is a concurrent
-/// seal adding a new file — which a later drain picks up.
-pub fn drain_sealed(dir: &Path) -> std::io::Result<Vec<CaptureRecord>> {
-    let mut seqs: Vec<(u64, PathBuf)> = Vec::new();
-    if !dir.exists() {
-        return Ok(Vec::new());
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(seq) = name
-            .strip_suffix(".seg")
-            .and_then(|stem| stem.parse::<u64>().ok())
-        {
-            seqs.push((seq, path));
-        }
-    }
-    seqs.sort_by_key(|&(seq, _)| seq);
-    let mut out = Vec::new();
-    for (_, path) in seqs {
-        let (records, _) = read_segment(&path);
-        out.extend(records);
-        std::fs::remove_file(&path)?;
-    }
-    Ok(out)
 }
 
 /// Opens (creating if absent) an active file, recovering a torn tail:
@@ -462,10 +434,10 @@ fn scan_segment(path: &Path) -> (u64, u64) {
 }
 
 /// Decodes every valid record of a segment, stopping at the first bad
-/// frame; `bool` is true when the whole file was valid.
-fn read_segment(path: &Path) -> (Vec<CaptureRecord>, bool) {
+/// frame.
+fn read_segment(path: &Path) -> Vec<CaptureRecord> {
     let Ok(bytes) = std::fs::read(path) else {
-        return (Vec::new(), false);
+        return Vec::new();
     };
     let mut out = Vec::new();
     let (_, good_len) = scan_frames(&bytes);
@@ -479,7 +451,7 @@ fn read_segment(path: &Path) -> (Vec<CaptureRecord>, bool) {
         }
         at += FRAME_PREFIX + len;
     }
-    (out, good_len == bytes.len() as u64)
+    out
 }
 
 #[cfg(test)]
@@ -527,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn append_drain_roundtrip() {
+    fn append_read_discard_roundtrip() {
         let dir = tempdir("roundtrip");
         let mut log = CaptureLog::open(CaptureConfig::new(&dir)).unwrap();
         let records: Vec<CaptureRecord> = (0..20).map(record).collect();
@@ -535,10 +507,13 @@ mod tests {
             log.append(r).unwrap();
         }
         assert_eq!(log.records(), 20);
-        let drained = log.drain().unwrap();
-        assert_eq!(drained, records);
+        // Reading consumes nothing: a pass that fails reads the same batch.
+        assert_eq!(log.read_sealed().unwrap(), records);
+        assert_eq!(log.read_sealed().unwrap(), records);
+        assert_eq!(log.records(), 20);
+        log.discard_sealed().unwrap();
         assert_eq!(log.records(), 0);
-        // Drained segments are gone from disk.
+        // Discarded segments are gone from disk.
         assert!(std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -563,7 +538,7 @@ mod tests {
         }
         let mut log = CaptureLog::open(cfg).unwrap();
         assert_eq!(log.records(), 10, "reopen must see every record");
-        assert_eq!(log.drain().unwrap(), records);
+        assert_eq!(log.read_sealed().unwrap(), records);
     }
 
     #[test]
@@ -582,11 +557,11 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 11]).unwrap();
         let mut log = CaptureLog::open(cfg.clone()).unwrap();
         assert_eq!(log.records(), 4, "the torn record is dropped");
-        let drained = log.drain().unwrap();
+        let drained = log.read_sealed().unwrap();
         assert_eq!(drained, (0..4).map(record).collect::<Vec<_>>());
         // The log keeps working after recovery.
         log.append(&record(99)).unwrap();
-        assert_eq!(log.records(), 1);
+        assert_eq!(log.records(), 5);
     }
 
     #[test]
@@ -613,7 +588,7 @@ mod tests {
         // Scanning stops at the corrupt frame: only the prefix survives.
         let mut log = CaptureLog::open(cfg).unwrap();
         assert_eq!(log.records(), 1);
-        assert_eq!(log.drain().unwrap(), vec![record(0)]);
+        assert_eq!(log.read_sealed().unwrap(), vec![record(0)]);
     }
 
     #[test]
@@ -637,7 +612,7 @@ mod tests {
         );
         assert!(log.dropped_records() > 0, "nothing was dropped");
         // The survivors are the NEWEST records (drop-oldest).
-        let drained = log.drain().unwrap();
+        let drained = log.read_sealed().unwrap();
         assert!(!drained.is_empty());
         assert_eq!(drained.last(), Some(&record(39)));
         let first_kept = drained[0].unix_ms - 1_700_000_000_000;
@@ -678,7 +653,7 @@ mod tests {
         // (the rename never ran, so they all sit in the active file).
         let mut log = CaptureLog::open(cfg).unwrap();
         assert!(log.records() >= 2);
-        let drained = log.drain().unwrap();
+        let drained = log.read_sealed().unwrap();
         for (i, rec) in drained.iter().enumerate() {
             assert_eq!(*rec, record(i as u64));
         }
@@ -709,33 +684,6 @@ mod tests {
         // `keep` admits the first two frames in full plus a torn prefix
         // of the third; recovery truncates the tear.
         assert_eq!(log.records(), 2);
-        assert_eq!(log.drain().unwrap(), vec![record(0), record(1)]);
-    }
-
-    #[test]
-    fn drain_sealed_consumes_only_sealed_segments() {
-        let dir = tempdir("drain_sealed");
-        let cfg = CaptureConfig {
-            segment_bytes: 700, // two ~301-byte records per sealed segment
-            ..CaptureConfig::new(&dir)
-        };
-        let mut log = CaptureLog::open(cfg).unwrap();
-        for i in 0..5 {
-            log.append(&record(i)).unwrap();
-        }
-        // Some prefix of the records lives in sealed segments; the tail
-        // sits in the writer-owned active file, which a cross-process
-        // drain must never touch.
-        let sealed = drain_sealed(&dir).unwrap();
-        assert!(!sealed.is_empty() && sealed.len() < 5);
-        assert_eq!(sealed, (0..sealed.len() as u64).map(record).collect::<Vec<_>>());
-        assert!(dir.join("capture.active").exists());
-        assert!(drain_sealed(&dir).unwrap().is_empty(), "segments deleted");
-        // Sealing hands the tail over; nothing is lost or reordered.
-        log.seal().unwrap();
-        let tail = drain_sealed(&dir).unwrap();
-        assert_eq!(tail, (sealed.len() as u64..5).map(record).collect::<Vec<_>>());
-        // A directory that does not exist yet drains to nothing.
-        assert!(drain_sealed(&dir.join("missing")).unwrap().is_empty());
+        assert_eq!(log.read_sealed().unwrap(), vec![record(0), record(1)]);
     }
 }

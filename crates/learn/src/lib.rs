@@ -33,9 +33,9 @@ pub mod select;
 pub mod sink;
 pub mod trainer;
 
-pub use capture::{drain_sealed, CaptureConfig, CaptureLog, CaptureRecord, RecordKind};
+pub use capture::{CaptureConfig, CaptureLog, CaptureRecord, RecordKind};
 pub use select::{need_score, select_cells, CellStats, SelectionConfig};
-pub use sink::{points_to_traj, traj_to_points, CaptureSink, ContextFn, LearnStats};
+pub use sink::{points_to_traj, traj_to_points, CaptureSink, LearnStats};
 pub use trainer::{retrain_pass, ModelOps, PassReport, TrainerConfig};
 
 use capture::CaptureRecord as Record;
@@ -56,7 +56,8 @@ pub struct LearnerConfig {
 
 /// The background learning daemon: drains the capture channel into the
 /// durable log, and periodically runs a [`retrain_pass`] over the
-/// accumulated batch.
+/// accumulated batch, which leaves the log only once the pass has an
+/// outcome.
 pub struct Learner {
     handle: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -165,15 +166,19 @@ fn run_loop(
             break;
         }
         if last_pass.elapsed() >= cfg.interval && log.records() >= cfg.batch_min as u64 {
-            let records = match log.drain() {
-                Ok(records) => records,
-                Err(e) => {
-                    eprintln!("kamel-learn: capture drain failed: {e}");
-                    last_pass = Instant::now();
-                    continue;
+            // The batch stays in the log until the pass has an outcome: a
+            // failed pass (checkpoint load, save or reload) or a crash
+            // mid-pass reads the same records again.
+            let pass = log
+                .read_sealed()
+                .map_err(|e| format!("capture read failed: {e}"))
+                .and_then(|records| retrain_pass(&records, round, &mut cell_rounds, cfg, model));
+            if pass.is_ok() {
+                if let Err(e) = log.discard_sealed() {
+                    eprintln!("kamel-learn: capture discard failed: {e}");
                 }
-            };
-            match retrain_pass(&records, round, &mut cell_rounds, cfg, model) {
+            }
+            match pass {
                 Ok(Some(report)) if report.rolled_out => {
                     stats.retrains_total.fetch_add(1, Ordering::Relaxed);
                     stats
@@ -195,7 +200,7 @@ fn run_loop(
                     );
                 }
                 Ok(None) => {}
-                Err(e) => eprintln!("kamel-learn: retrain pass failed: {e}"),
+                Err(e) => eprintln!("kamel-learn: retrain pass failed: {e} (records retained)"),
             }
             round += 1;
             last_pass = Instant::now();

@@ -12,12 +12,7 @@ use kamel_geo::{GpsPoint, LatLng, Trajectory};
 use kamel_server::{LearnSink, LearningInfo};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, RwLock};
-
-/// Resolves a sparse trajectory's gap-context cells, when the producer
-/// can (the CLI wires a weak reference to the serving engine). `None`
-/// leaves cell attribution to the trainer.
-pub type ContextFn = Box<dyn Fn(&Trajectory) -> Option<Vec<u64>> + Send + Sync>;
+use std::sync::Arc;
 
 /// Shared counters behind every observability surface
 /// (`kamel_learn_*` metrics, the `/v1/info` `learning` block).
@@ -90,7 +85,6 @@ pub fn points_to_traj(points: &[[f64; 3]]) -> Trajectory {
 pub struct CaptureSink {
     tx: SyncSender<CaptureRecord>,
     stats: Arc<LearnStats>,
-    context: RwLock<Option<ContextFn>>,
 }
 
 impl CaptureSink {
@@ -102,29 +96,13 @@ impl CaptureSink {
         let sink = Arc::new(CaptureSink {
             tx,
             stats: Arc::new(LearnStats::default()),
-            context: RwLock::new(None),
         });
         (sink, rx)
-    }
-
-    /// Wires the gap-context resolver (typically a weak reference to the
-    /// serving engine, so captured records carry their cells without the
-    /// trainer having to re-derive them).
-    pub fn set_context(&self, f: ContextFn) {
-        *self.context.write().expect("context lock poisoned") = Some(f);
     }
 
     /// The shared counters (hand these to the learner thread).
     pub fn stats(&self) -> Arc<LearnStats> {
         Arc::clone(&self.stats)
-    }
-
-    fn cells_of(&self, sparse: &Trajectory) -> Vec<u64> {
-        self.context
-            .read()
-            .ok()
-            .and_then(|g| g.as_ref().and_then(|f| f(sparse)))
-            .unwrap_or_default()
     }
 
     /// Non-blocking push; a full queue drops the record.
@@ -142,7 +120,7 @@ impl CaptureSink {
 }
 
 impl LearnSink for CaptureSink {
-    fn on_impute(&self, sparse: &Trajectory, result: &ImputedTrajectory) {
+    fn on_impute(&self, cells: &[u64], sparse: &Trajectory, result: &ImputedTrajectory) {
         if result.gaps.is_empty() {
             return; // nothing was imputed; nothing to learn from
         }
@@ -156,18 +134,18 @@ impl LearnSink for CaptureSink {
             kind: RecordKind::Impute,
             unix_ms: unix_ms(),
             confidence,
-            cells: self.cells_of(sparse),
+            cells: cells.to_vec(),
             sparse: traj_to_points(sparse),
             answer: traj_to_points(&result.trajectory),
         });
     }
 
-    fn on_feedback(&self, sparse: &Trajectory, truth: &Trajectory) {
+    fn on_feedback(&self, cells: &[u64], sparse: &Trajectory, truth: &Trajectory) {
         self.push(CaptureRecord {
             kind: RecordKind::Feedback,
             unix_ms: unix_ms(),
             confidence: 0.0,
-            cells: self.cells_of(sparse),
+            cells: cells.to_vec(),
             sparse: traj_to_points(sparse),
             answer: traj_to_points(truth),
         });
@@ -203,7 +181,7 @@ mod tests {
         let sparse = truth.sparsify(2_000.0);
         let start = std::time::Instant::now();
         for _ in 0..50 {
-            sink.on_feedback(&sparse, &truth);
+            sink.on_feedback(&[], &sparse, &truth);
         }
         // 2 accepted, 48 dropped, and nobody waited on anything.
         assert!(

@@ -2,16 +2,15 @@
 //! targeted retrain → replay regression gate → rollout or rollback.
 //!
 //! The pass never touches the serving [`Kamel`] instance. It loads its
-//! own copies through [`ModelOps::load`], retrains the selected cells on
-//! a fresh copy, and only if the gate passes does it [`ModelOps::save`]
-//! the new checkpoint and ask [`ModelOps::rollout`] to swap generations
-//! (hot-reload). A failing gate saves nothing: the old generation keeps
-//! serving, and the attempt is counted as a rollback.
+//! own copy through [`ModelOps::load`], retrains the selected cells on
+//! a deep clone of it, and only if the gate passes does it
+//! [`ModelOps::save`] the new checkpoint and ask [`ModelOps::rollout`] to
+//! swap generations (hot-reload). A failing gate saves nothing: the old
+//! generation keeps serving, and the attempt is counted as a rollback.
 //!
 //! The model channel is closure-based so the pass is testable without
-//! checkpoints on disk: production wires `Kamel::load_from_file` /
-//! `save_to_file` and an `/admin/reload` POST; tests wire an in-memory
-//! model slot.
+//! checkpoints on disk: production wires [`ModelOps::checkpoint`]; tests
+//! wire an in-memory model slot.
 
 use crate::capture::{CaptureRecord, RecordKind};
 use crate::select::{select_cells, CellStats, SelectionConfig};
@@ -20,7 +19,11 @@ use kamel::Kamel;
 use kamel_eval::{regression_gate, GateReport, ReplayCase};
 use kamel_geo::Trajectory;
 use kamel_hexgrid::CellId;
+use kamel_server::{Client, ImputeEngine};
 use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cadence and thresholds of the background trainer.
@@ -71,6 +74,32 @@ pub struct ModelOps {
     /// Swaps the serving generation (hot reload); returns the new
     /// generation number.
     pub rollout: RolloutFn,
+}
+
+impl ModelOps {
+    /// The production wiring (`kamel serve --learn`): load and save the
+    /// checkpoint at `path` that `engine` reloads from, and roll out
+    /// through the real admin path — a loopback `POST /admin/reload` on
+    /// `admin` swaps the generation AND clears the answer cache, exactly
+    /// as an operator's curl would.
+    pub fn checkpoint(path: PathBuf, admin: SocketAddr, engine: Arc<ImputeEngine>) -> Self {
+        let save_path = path.clone();
+        Self {
+            load: Box::new(move || Kamel::load_from_file(&path).map_err(|e| e.to_string())),
+            save: Box::new(move |k| k.save_to_file(&save_path).map_err(|e| e.to_string())),
+            rollout: Box::new(move || {
+                let mut client = Client::connect(admin, Duration::from_secs(30))
+                    .map_err(|e| e.to_string())?;
+                let resp = client
+                    .post_json("/admin/reload", b"")
+                    .map_err(|e| e.to_string())?;
+                if resp.status != 200 {
+                    return Err(format!("admin/reload: HTTP {}", resp.status));
+                }
+                Ok(engine.generation())
+            }),
+        }
+    }
 }
 
 /// What one retrain pass did, for logs and counters.
@@ -128,19 +157,8 @@ pub fn retrain_pass(
     }
     let old = (model.load)()?;
 
-    // Cell attribution: trust the record's captured cells, fall back to
-    // re-deriving gap context on the old model for records captured
-    // before the context resolver was wired.
-    let cells_of = |rec: &CaptureRecord| -> Vec<u64> {
-        if !rec.cells.is_empty() {
-            return rec.cells.clone();
-        }
-        old.gap_context(&points_to_traj(&rec.sparse))
-            .map(|(cells, _)| cells.into_iter().map(|c| c.0).collect())
-            .unwrap_or_default()
-    };
-
-    // Reduce the batch to per-cell evidence. Feedback disagreement is
+    // Reduce the batch to per-cell evidence, attributed to the cells the
+    // serving snapshot recorded with each answer. Feedback disagreement is
     // measured against the OLD model — "how wrong is what we serve
     // today" is exactly the retraining-need signal.
     let mut stats: HashMap<u64, CellStats> = HashMap::new();
@@ -157,7 +175,7 @@ pub fn retrain_pass(
             }
             RecordKind::Impute => None,
         };
-        for cell in cells_of(rec) {
+        for &cell in &rec.cells {
             let s = stats.entry(cell).or_default();
             s.traffic += 1;
             s.last_selected_round = *cell_rounds.get(&cell).unwrap_or(&0);
@@ -193,7 +211,7 @@ pub fn retrain_pass(
         return Ok(None);
     }
 
-    let new = (model.load)()?;
+    let new = old.deep_clone();
     let cell_ids: Vec<CellId> = selected.iter().map(|&c| CellId(c)).collect();
     new.retrain_cells(&cell_ids, &examples);
 
@@ -295,18 +313,26 @@ mod tests {
         (slot, ops)
     }
 
+    /// The cells the serving engine would record for `sparse` under the
+    /// slot's model.
+    fn cells_under(slot: &Slot, sparse: &Trajectory) -> Vec<u64> {
+        let (cells, _) = slot.model.lock().unwrap().gap_context(sparse).expect("trained");
+        cells.into_iter().map(|c| c.0).collect()
+    }
+
     /// Feedback records for trips on `lat` (the model will disagree when
-    /// it never trained there).
-    fn feedback_records(lat: f64, n: usize) -> Vec<CaptureRecord> {
+    /// it never trained there), as captured while `slot`'s model served.
+    fn feedback_records(slot: &Slot, lat: f64, n: usize) -> Vec<CaptureRecord> {
         (0..n)
             .map(|i| {
                 let truth = street(lat, 30);
+                let sparse = truth.sparsify(1000.0);
                 CaptureRecord {
                     kind: RecordKind::Feedback,
                     unix_ms: 1_000 + i as u64,
                     confidence: 0.0,
-                    cells: Vec::new(),
-                    sparse: traj_to_points(&truth.sparsify(1000.0)),
+                    cells: cells_under(slot, &sparse),
+                    sparse: traj_to_points(&sparse),
                     answer: traj_to_points(&truth),
                 }
             })
@@ -327,7 +353,7 @@ mod tests {
         // street ~330 m north it has never seen — the old model serves it
         // from the original street's evidence, visibly wrong.
         let (slot, ops) = slot_with(&corpus(41.15));
-        let records = feedback_records(41.153, 8);
+        let records = feedback_records(&slot, 41.153, 8);
         let mut rounds = HashMap::new();
         let report = retrain_pass(&records, 1, &mut rounds, &quick_cfg(), &ops)
             .expect("pass must not error")
@@ -360,7 +386,7 @@ mod tests {
     fn impossible_gate_rolls_back_and_saves_nothing() {
         let (slot, ops) = slot_with(&corpus(41.15));
         let before = Arc::clone(&slot.model.lock().unwrap());
-        let records = feedback_records(41.153, 8);
+        let records = feedback_records(&slot, 41.153, 8);
         let cfg = TrainerConfig {
             // A gate no retrain can pass: demand the new model beat the
             // old by more than the metric's full range.
@@ -386,22 +412,22 @@ mod tests {
         let (slot, ops) = slot_with(&corpus(41.15));
         let mut rounds = HashMap::new();
         // Below batch_min.
-        let few = feedback_records(41.153, 1);
+        let few = feedback_records(&slot, 41.153, 1);
         assert_eq!(
             retrain_pass(&few, 1, &mut rounds, &quick_cfg(), &ops).unwrap(),
             None
         );
         // Confident impute traffic on the trained street: no cell should
         // clear the selection threshold, so no churn.
-        let truth = street(41.15, 30);
-        let served = slot.model.lock().unwrap().impute(&truth.sparsify(1000.0));
+        let sparse = street(41.15, 30).sparsify(1000.0);
+        let served = slot.model.lock().unwrap().impute(&sparse);
         let healthy: Vec<CaptureRecord> = (0..6)
             .map(|i| CaptureRecord {
                 kind: RecordKind::Impute,
                 unix_ms: i,
                 confidence: 1.0,
-                cells: Vec::new(),
-                sparse: traj_to_points(&truth.sparsify(1000.0)),
+                cells: cells_under(&slot, &sparse),
+                sparse: traj_to_points(&sparse),
                 answer: traj_to_points(&served.trajectory),
             })
             .collect();

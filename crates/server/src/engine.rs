@@ -276,6 +276,14 @@ impl ImputeEngine {
     }
 }
 
+/// `sparse`'s gap-context cell ids under `kamel`; empty while untrained.
+fn gap_cells(kamel: &Kamel, sparse: &Trajectory) -> Vec<u64> {
+    kamel
+        .gap_context(sparse)
+        .map(|(cells, _)| cells.into_iter().map(|c| c.0).collect())
+        .unwrap_or_default()
+}
+
 impl WireService for ImputeEngine {
     type Job = Trajectory;
     type Out = ImputedTrajectory;
@@ -311,13 +319,14 @@ impl WireService for ImputeEngine {
         // within it, and the read lock is held only for the clone.
         let kamel = self.kamel();
         let outs = kamel.impute_batch(&jobs);
-        // Tee completed answers to the continual learner. The sink's
-        // contract makes this a try_send: a full queue drops the record
-        // and the response is unaffected. Cache hits never reach this
-        // point — only freshly computed answers are capture candidates.
+        // Tee completed answers to the continual learner, attributed to
+        // the cells of the snapshot that answered. The sink's contract
+        // makes this a try_send: a full queue drops the record and the
+        // response is unaffected. Cache hits never reach this point —
+        // only freshly computed answers are capture candidates.
         if let Some(sink) = &self.sink {
             for (job, out) in jobs.iter().zip(&outs) {
-                sink.on_impute(job, out);
+                sink.on_impute(&gap_cells(&kamel, job), job, out);
             }
         }
         outs
@@ -375,7 +384,7 @@ impl WireService for ImputeEngine {
                     return Err("non-finite coordinate or timestamp".into());
                 }
             }
-            sink.on_feedback(&req.sparse, &req.truth);
+            sink.on_feedback(&gap_cells(&self.kamel(), &req.sparse), &req.sparse, &req.truth);
             let ack = FeedbackAck {
                 status: "accepted".to_string(),
                 queue_records: sink.learning().queue_records,

@@ -19,11 +19,13 @@ use serde::{Deserialize, Serialize};
 /// connection handler. Use a bounded `try_send`-style queue and count
 /// drops rather than waiting.
 pub trait LearnSink: Send + Sync + 'static {
-    /// A completed `/v1/impute` answer: the sparse request and the imputed
-    /// result (gap context, answer, and per-gap beam confidence).
-    fn on_impute(&self, sparse: &Trajectory, result: &ImputedTrajectory);
-    /// A `POST /v1/feedback` ground-truth correction.
-    fn on_feedback(&self, sparse: &Trajectory, truth: &Trajectory);
+    /// A completed `/v1/impute` answer: the sparse request, its gap-context
+    /// `cells` under the model snapshot that answered, and the imputed
+    /// result (answer and per-gap beam confidence).
+    fn on_impute(&self, cells: &[u64], sparse: &Trajectory, result: &ImputedTrajectory);
+    /// A `POST /v1/feedback` ground-truth correction, with the gap-context
+    /// `cells` of `sparse` under the model serving when it arrived.
+    fn on_feedback(&self, cells: &[u64], sparse: &Trajectory, truth: &Trajectory);
     /// A snapshot of the learning loop's counters, for `/metrics` and the
     /// `learning` block of `GET /v1/info`.
     fn learning(&self) -> LearningInfo;
